@@ -32,11 +32,24 @@ observe a half-written block (:func:`atomic_write_bytes` is shared with
 :mod:`repro.dbms.persistence`).
 
 A :class:`ColumnarStore` manages the directory layout
-``root/<table>/v<version>/p<pid>.blk``, publishing the current table
-version on demand and garbage-collecting stale versions (the latest two
-are kept so a scan that started just before a mutation can still open
-its files; an mmap that is already open survives the unlink regardless,
-POSIX-style).
+``root/<table>.<incarnation>/v<version>/p<pid>.blk``, publishing the
+current table version on demand and garbage-collecting stale versions
+(the latest two are kept so a scan that started just before a mutation
+can still open its files; an mmap that is already open survives the
+unlink regardless, POSIX-style).  Each table object gets its own
+incarnation directory, named in the descriptor's ``table`` entry, so a
+dropped and re-created table can never be answered from the dead
+table's blocks or a worker's open reader of them.
+
+**Append-only re-publish.**  When only appends happened since the last
+publish (its version is still ``>= table.data_version``), each previous
+block is a prefix of the partition's new contents and is handed to the
+same per-column lane builder a full encode uses: numeric columns whose
+new rows keep the lane kind copy the prefix lane and NULL bits, other
+columns (kind changes, object sidecars) are encoded whole.  The file is
+byte-identical to a full encode, so readers, descriptors and GC are
+unchanged; whole files are still rewritten per version.  The counters
+``rows_encoded`` / ``rows_reused`` show the split.
 """
 
 from __future__ import annotations
@@ -45,9 +58,11 @@ import json
 import mmap
 import os
 import pickle
+import itertools
 import shutil
+import weakref
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,74 +92,97 @@ def atomic_write_bytes(path: Path, payload: bytes, fsync: bool = False) -> None:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
 
-def _classify_column(values: Sequence[Any]) -> tuple[str, bool]:
+def _classify_column(values: Sequence[Any]) -> tuple[str | None, bool]:
     """``(lane kind, has nulls)`` for one column's stored values.
 
     Exactness rules: only values that are *exactly* ``int`` (within
     int64) or *exactly* ``float`` ride a numeric lane — ``bool`` (a
     subclass of int), oversize ints, strings and mixed-type columns all
-    go to the object sidecar so the round trip is type-preserving.
+    go to the object sidecar (``"obj"``) so the round trip is
+    type-preserving.  The kind is ``None`` when no value is non-NULL.
     """
-    kind: str | None = None
-    has_null = False
-    for value in values:
-        if value is None:
-            has_null = True
-            continue
-        value_type = type(value)
-        if value_type is int:
-            if not _INT64_MIN <= value <= _INT64_MAX:
-                return "obj", has_null
-            if kind is None:
-                kind = "i8"
-            elif kind != "i8":
-                return "obj", has_null
-        elif value_type is float:
-            if kind is None:
-                kind = "f8"
-            elif kind != "f8":
-                return "obj", has_null
-        else:
-            return "obj", has_null
-    # An empty or all-NULL column takes the cheapest lane.
-    return kind or "i8", has_null
+    types = set(map(type, values))
+    has_null = type(None) in types
+    types.discard(type(None))
+    if not types:
+        return None, has_null
+    if types == {float}:
+        return "f8", has_null
+    if types == {int}:
+        present = [v for v in values if v is not None] if has_null else values
+        if _INT64_MIN <= min(present) and max(present) <= _INT64_MAX:
+            return "i8", has_null
+    return "obj", has_null
 
 
-def _null_bitmap(values: Sequence[Any], rows: int) -> bytes:
-    bits = bytearray((rows + 7) // 8)
-    for index, value in enumerate(values):
-        if value is None:
-            bits[index >> 3] |= 1 << (index & 7)
-    return bytes(bits)
+def _encode_lane(
+    column: Sequence[Any], position: int, prefix: "BlockReader | None"
+) -> tuple[str, bytes, bytes | None]:
+    """``(kind, lane bytes, null bitmap or None)`` for one column.
+
+    With a *prefix* block holding the first ``prefix.rows`` values, a
+    numeric lane whose new values keep its kind (or are all NULL) is
+    copied and only the tail converted; anything else is encoded whole.
+    """
+    start = 0
+    if prefix is not None and prefix._columns[position]["kind"] != "obj":
+        spec = prefix._columns[position]
+        kind, has_null = _classify_column(column[prefix.rows :])
+        if kind in (None, spec["kind"]):
+            start, kind = prefix.rows, spec["kind"]
+            has_null = has_null or "nulls" in spec
+    if start == 0:
+        kind, has_null = _classify_column(column)
+        kind = kind or "i8"  # an all-NULL column takes the cheapest lane
+        if kind == "obj":
+            return kind, b"", None
+    dense = column[start:] if start else column
+    if has_null:
+        filler = 0 if kind == "i8" else 0.0
+        dense = [filler if v is None else v for v in dense]
+    lane = np.asarray(dense, dtype="<i8" if kind == "i8" else "<f8").tobytes()
+    bitmap = None
+    if has_null:
+        mask = np.fromiter((v is None for v in column[start:]), bool)
+        if start:
+            mask = np.concatenate([prefix.null_mask(position), mask])
+        bitmap = np.packbits(mask, bitorder="little").tobytes()
+    if start:
+        lane = prefix.lane_bytes(position) + lane
+    return kind, lane, bitmap
 
 
-def encode_block(columns: Sequence[Sequence[Any]]) -> bytes:
-    """Serialize per-column value lists into one block-file payload."""
+def encode_block(
+    columns: Sequence[Sequence[Any]], prefix: "BlockReader | None" = None
+) -> bytes:
+    """Serialize per-column value lists into one block-file payload.
+
+    *prefix* is an optional reader over an earlier block of the same
+    partition whose rows are a prefix of *columns*; its lanes are reused
+    instead of re-encoded (see :func:`_encode_lane`).  The payload is
+    byte-identical with or without it.
+    """
     rows = len(columns[0]) if columns else 0
     for column in columns:
         if len(column) != rows:
             raise ExportError("columnar block columns differ in length")
+    if prefix is not None and (
+        prefix.width != len(columns) or prefix.rows > rows
+    ):
+        raise ExportError("prefix block does not match the columns")
     header_columns: list[dict[str, Any]] = []
     lanes: list[bytes] = []
     objects: dict[int, list[Any]] = {}
     offset = 0
     for index, column in enumerate(columns):
-        kind, has_null = _classify_column(column)
+        kind, lane, bitmap = _encode_lane(column, index, prefix)
         if kind == "obj":
             header_columns.append({"kind": "obj"})
             objects[index] = list(column)
             continue
-        dtype = "<i8" if kind == "i8" else "<f8"
-        if has_null:
-            filler = 0 if kind == "i8" else 0.0
-            dense = [filler if v is None else v for v in column]
-        else:
-            dense = list(column)
-        lane = np.asarray(dense, dtype=dtype).tobytes()
         spec: dict[str, Any] = {"kind": kind, "offset": offset}
         offset += len(lane)
-        if has_null:
-            bitmap = _null_bitmap(column, rows)
+        if bitmap is not None:
             lane += bitmap
             spec["nulls"] = offset
             offset += len(bitmap)
@@ -219,19 +257,26 @@ class BlockReader:
             offset=self._data_start + spec["offset"],
         )
 
-    def _null_indices(self, spec: dict[str, Any]) -> np.ndarray | None:
-        nulls = spec.get("nulls")
-        if nulls is None:
-            return None
+    def lane_bytes(self, position: int) -> bytes:
+        """A numeric column's raw lane, copied out of the mapping."""
+        start = self._data_start + self._columns[position]["offset"]
+        return self._mm[start : start + 8 * self.rows]
+
+    def null_mask(self, position: int) -> np.ndarray:
+        """A numeric column's NULL flags as a bool array (a copy)."""
+        spec = self._columns[position]
+        if "nulls" not in spec:
+            return np.zeros(self.rows, dtype=bool)
+        start = self._data_start + spec["nulls"]
         bitmap = np.frombuffer(
-            self._mm,
-            dtype=np.uint8,
-            count=(self.rows + 7) // 8,
-            offset=self._data_start + nulls,
+            self._mm[start : start + (self.rows + 7) // 8], dtype=np.uint8
         )
-        return np.flatnonzero(
-            np.unpackbits(bitmap, bitorder="little")[: self.rows]
-        )
+        return np.unpackbits(bitmap, bitorder="little")[: self.rows].view(bool)
+
+    def _null_indices(self, position: int) -> np.ndarray | None:
+        if "nulls" not in self._columns[position]:
+            return None
+        return np.flatnonzero(self.null_mask(position))
 
     def _object_columns(self) -> dict[int, list[Any]]:
         if self._objects is None:
@@ -244,7 +289,7 @@ class BlockReader:
         if spec["kind"] == "obj":
             return list(self._object_columns()[position])
         values: list[Any] = self._lane(spec).tolist()
-        null_idx = self._null_indices(spec)
+        null_idx = self._null_indices(position)
         if null_idx is not None:
             for index in null_idx.tolist():
                 values[index] = None
@@ -264,7 +309,7 @@ class BlockReader:
                 dtype=float,
             )
         lane = self._lane(spec)
-        null_idx = self._null_indices(spec)
+        null_idx = self._null_indices(position)
         if spec["kind"] == "i8":
             out = lane.astype(np.float64)
         elif null_idx is not None:
@@ -306,13 +351,23 @@ class BlockReader:
             pass
 
 
+class _Published(NamedTuple):
+    """The last version of one table incarnation written to the store."""
+
+    table: "weakref.ref[Any]"
+    dirname: str
+    version: int
+
+
 class ColumnarStore:
     """Directory of published partition blocks, keyed by table version.
 
     ``publish`` is idempotent and cheap when current: it writes one
     block file per non-empty partition the first time a table version is
-    seen, then answers from a path check.  Old versions are garbage-
-    collected down to the latest :data:`_KEEP_VERSIONS`.
+    seen, then answers from a path check.  When only appends happened
+    since the last publish, each block is built from the previous
+    version's block plus an encoding of just the new rows.  Old versions
+    are garbage-collected down to the latest :data:`_KEEP_VERSIONS`.
     """
 
     def __init__(self, root: "str | Path") -> None:
@@ -320,10 +375,20 @@ class ColumnarStore:
         #: lifetime accounting (tests and the benchmark read these)
         self.blocks_written = 0
         self.bytes_written = 0
-        self._published: dict[str, int] = {}
+        #: rows of written blocks that no earlier block held (appended
+        #: rows, or every row when a block is built from scratch)
+        self.rows_encoded = 0
+        #: rows of written blocks taken over from the previous version
+        self.rows_reused = 0
+        self._published: dict[str, _Published] = {}
+        self._incarnations = itertools.count(1)
 
     def table_dir(self, table_name: str) -> Path:
-        return self.root / table_name.lower()
+        """Directory of a table's current incarnation; a descriptor's
+        ``"table"`` entry names such a directory directly."""
+        key = table_name.lower()
+        entry = self._published.get(key)
+        return self.root / (entry.dirname if entry is not None else key)
 
     def version_dir(self, table_name: str, version: int) -> Path:
         return self.table_dir(table_name) / f"v{version}"
@@ -345,29 +410,44 @@ class ColumnarStore:
             for index, partition in enumerate(table.partitions)
             if partition.row_count
         ]
-        fresh = self._published.get(name) != version
+        entry = self._published.get(name)
+        if entry is not None and entry.table() is not table:
+            # A dropped-and-recreated table: never read the old blocks.
+            self.forget(name)
+            entry = None
+        if entry is None:
+            dirname = f"{name}.{next(self._incarnations)}"
+        else:
+            dirname = entry.dirname
+        fresh = entry is None or entry.version != version
         if fresh:
-            target = self.version_dir(name, version)
+            # Append-only since the last publish (the summary cache's
+            # freshness test): each previous block is a prefix.
+            previous = (
+                entry.version
+                if entry is not None and entry.version >= table.data_version
+                else None
+            )
+            target = self.version_dir(dirname, version)
             target.mkdir(parents=True, exist_ok=True)
             for index in partitions:
-                path = self.block_path(name, version, index)
+                path = target / f"p{index}.blk"
                 if path.exists():
                     continue
-                partition = table.partitions[index]
-                payload = encode_block(
-                    [
-                        partition.column(position)
-                        for position in range(partition.width)
-                    ]
+                self._write_block(
+                    table.partitions[index],
+                    path,
+                    None
+                    if previous is None
+                    else self.block_path(dirname, previous, index),
                 )
-                atomic_write_bytes(path, payload)
-                self.blocks_written += 1
-                self.bytes_written += len(payload)
-            self._gc(name, version)
-            self._published[name] = version
+            self._gc(dirname, version)
+            self._published[name] = _Published(
+                weakref.ref(table), dirname, version
+            )
         return {
             "root": str(self.root),
-            "table": name,
+            "table": dirname,
             "version": version,
             "partitions": partitions,
             # Whether this call had to materialize the version (the
@@ -377,8 +457,29 @@ class ColumnarStore:
             "fresh": fresh,
         }
 
-    def _gc(self, name: str, current: int) -> None:
-        table_dir = self.table_dir(name)
+    def _write_block(
+        self, partition: Any, path: Path, prefix_path: "Path | None"
+    ) -> None:
+        prefix = None
+        if prefix_path is not None and prefix_path.exists():
+            prefix = BlockReader(prefix_path)
+        try:
+            payload = encode_block(
+                [partition.column(i) for i in range(partition.width)], prefix
+            )
+            reused = prefix.rows if prefix is not None else 0
+        finally:
+            if prefix is not None:
+                prefix.drop_pages()
+                prefix.close()
+        atomic_write_bytes(path, payload)
+        self.blocks_written += 1
+        self.bytes_written += len(payload)
+        self.rows_reused += reused
+        self.rows_encoded += partition.row_count - reused
+
+    def _gc(self, dirname: str, current: int) -> None:
+        table_dir = self.table_dir(dirname)
         try:
             entries = list(table_dir.iterdir())
         except OSError:  # pragma: no cover - dir raced away
@@ -396,6 +497,9 @@ class ColumnarStore:
             shutil.rmtree(table_dir / f"v{version}", ignore_errors=True)
 
     def forget(self, table_name: str) -> None:
-        """Drop a table's published blocks (DROP TABLE / truncate)."""
-        self._published.pop(table_name.lower(), None)
+        """Drop a table's published blocks (DROP TABLE).  The next
+        publish of the name starts a new incarnation directory, so
+        neither this store nor a worker's open readers can serve the
+        dropped table's blocks."""
         shutil.rmtree(self.table_dir(table_name), ignore_errors=True)
+        self._published.pop(table_name.lower(), None)

@@ -190,9 +190,7 @@ class Database:
         #: spilled cache blocks; created lazily, removed by close()
         self._scratch_dir: str | None = None
         if kind == "process":
-            self._executor.columnar_store = ColumnarStore(
-                Path(self._scratch_root()) / "blocks"
-            )
+            self._install_columnar_store()
         if block_cache_entries is not None or block_cache_bytes is not None:
             config = BlockCacheConfig(
                 max_entries=(
@@ -237,9 +235,16 @@ class Database:
         self._executor.engine = old.configured_like(old.workers, kind=kind)
         old.close()
         if kind == "process" and self._executor.columnar_store is None:
-            self._executor.columnar_store = ColumnarStore(
-                Path(self._scratch_root()) / "blocks"
-            )
+            self._install_columnar_store()
+
+    def _install_columnar_store(self) -> None:
+        store = ColumnarStore(Path(self._scratch_root()) / "blocks")
+        self._executor.columnar_store = store
+        # A dropped table's blocks go with it.  The listener is the
+        # store's own method: one holding this Database would make a
+        # reference cycle and keep dropped databases' rows alive until
+        # the cycle collector runs.
+        self.catalog.add_drop_listener(store.forget)
 
     @property
     def columnar_store(self) -> "ColumnarStore | None":

@@ -332,13 +332,17 @@ class Executor:
     def _published_for_process(self, table: Table) -> "dict | None":
         """Columnar block descriptor for *table*, or None when this
         fan-out must stay on in-process closures (thread engine, no
-        store installed, or publish failed — e.g. an unencodable
-        value)."""
+        store installed, or publish failed — e.g. an unencodable value
+        or a full disk; recorded as a fallback)."""
         if not self.engine.uses_processes or self.columnar_store is None:
             return None
         try:
             return self.columnar_store.publish(table)
-        except Exception:  # pragma: no cover - defensive: fall back
+        except Exception as exc:
+            self.last_metrics.fallbacks += 1
+            self.last_metrics.fallback_reason = (
+                f"columnar publish failed: {_describe_failure(exc)}"
+            )
             return None
 
     def _shippable_scalar_udfs(

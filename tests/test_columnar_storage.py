@@ -7,13 +7,25 @@ publish, version GC, forget), plus the ``Database``-level block-cache
 knobs the store's spill tier rides on: entry capacity, shared byte
 budget, spill-to-disk with bit-identical reloads, and the EXPLAIN /
 QueryMetrics surfaces that report it all.
+
+The append-only re-publish (a block built from the previous version's
+block plus the new rows) is held to byte identity with a full encode,
+both on the format level and over random mutation sequences run
+through a process-pool database.
 """
 
+import gc
 import pickle
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.dbms import columnar
 from repro.dbms.columnar import (
     BlockReader,
     ColumnarStore,
@@ -21,9 +33,16 @@ from repro.dbms.columnar import (
     encode_block,
 )
 from repro.dbms.database import Database
-from repro.dbms.schema import dataset_schema, dimension_names
+from repro.dbms.faults import FaultPlan
+from repro.dbms.schema import (
+    Column,
+    TableSchema,
+    dataset_schema,
+    dimension_names,
+)
 from repro.dbms.storage import BLOCK_CACHE_CAPACITY, BlockCacheConfig
-from repro.errors import ExportError, SchemaError
+from repro.dbms.types import SqlType
+from repro.errors import ExportError, FaultInjected, SchemaError
 
 
 def _write_block(tmp_path, columns, name="block.blk"):
@@ -221,6 +240,302 @@ class TestColumnarStore:
             store.forget("x")
             assert not store.table_dir("x").exists()
             assert store.publish(table)["fresh"] is True
+
+
+    def test_append_only_publish_extends_previous_blocks(self, tmp_path):
+        with _loaded_db() as db:
+            store = ColumnarStore(tmp_path / "blocks")
+            table = db.catalog.table("x")
+            store.publish(table)
+            assert (store.rows_encoded, store.rows_reused) == (60, 0)
+            db.insert_rows(
+                "x", [(1000 + k, float(k), None, 1.0) for k in range(7)]
+            )
+            published = store.publish(table)
+            assert store.rows_encoded == 60 + 7  # only the new rows
+            assert store.rows_reused == 60
+            for pid in published["partitions"]:
+                partition = table.partitions[pid]
+                path = store.block_path(
+                    published["table"], published["version"], pid
+                )
+                assert path.read_bytes() == encode_block(
+                    [partition.column(i) for i in range(partition.width)]
+                )
+
+    def test_destructive_change_reencodes_every_row(self, tmp_path):
+        with _loaded_db() as db:
+            store = ColumnarStore(tmp_path / "blocks")
+            table = db.catalog.table("x")
+            store.publish(table)
+            db.execute("DELETE FROM x WHERE i <= 10")
+            store.publish(table)
+            assert store.rows_encoded == 60 + 50
+            assert store.rows_reused == 0
+
+    def test_recreated_table_gets_a_new_incarnation(self, tmp_path):
+        with _loaded_db() as db:
+            store = ColumnarStore(tmp_path / "blocks")
+            first = store.publish(db.catalog.table("x"))
+            db.catalog.drop_table("x")
+            db.execute("CREATE TABLE x (i INTEGER PRIMARY KEY, x1 FLOAT)")
+            db.execute("INSERT INTO x VALUES (1, 100.0)")
+            second = store.publish(db.catalog.table("x"))
+            assert second["fresh"] is True
+            assert second["table"] != first["table"]
+            assert store.rows_reused == 0  # never extends a dead block
+            assert not (store.root / first["table"]).exists()
+
+
+# ------------------------------------------------ append-only re-publish
+_PART_VALUES = {
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "float": st.floats(),
+    "oversize": st.integers(2**63, 2**70),
+    "bool": st.booleans(),
+    "str": st.text(max_size=3),
+    "null": st.none(),
+}
+
+
+@st.composite
+def _column_part(draw, rows):
+    """*rows* values of one drawn kind, optionally sprinkled with NULLs."""
+    values = _PART_VALUES[draw(st.sampled_from(sorted(_PART_VALUES)))]
+    if draw(st.booleans()):
+        values = st.one_of(st.none(), values)
+    return draw(st.lists(values, min_size=rows, max_size=rows))
+
+
+def _reference_classify(values):
+    """The one-value-at-a-time lane classifier the block format was
+    first written with: ``(kind or None, has_null)``, kind decided by
+    the first non-NULL value and demoted to "obj" by any mismatch."""
+    kind, has_null = None, False
+    for value in values:
+        if value is None:
+            has_null = True
+        elif type(value) is int and -(2**63) <= value < 2**63:
+            kind = "i8" if kind in (None, "i8") else "obj"
+        elif type(value) is float:
+            kind = "f8" if kind in (None, "f8") else "obj"
+        else:
+            kind = "obj"
+    return kind, has_null
+
+
+class TestPrefixEncode:
+    @given(values=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_classifier_matches_reference_loop(self, values):
+        column = values.draw(_column_part(5)) + values.draw(_column_part(5))
+        assert columnar._classify_column(column) == _reference_classify(column)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_encode_is_byte_identical(self, data):
+        # Prefix and tail are drawn independently, so every lane-kind
+        # transition (int→float, →oversize, →bool/str, all-NULL prefix,
+        # empty tail) meets the reuse rule.
+        head = data.draw(st.integers(1, 20), label="head")
+        tail = data.draw(st.integers(0, 20), label="tail")
+        columns = [
+            data.draw(_column_part(head)) + data.draw(_column_part(tail))
+            for _ in range(data.draw(st.integers(1, 4), label="width"))
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prefix.blk"
+            atomic_write_bytes(path, encode_block([c[:head] for c in columns]))
+            prefix = BlockReader(path)
+            try:
+                assert encode_block(columns, prefix) == encode_block(columns)
+            finally:
+                prefix.close()
+
+    def test_mismatched_prefix_rejected(self, tmp_path):
+        path = tmp_path / "prefix.blk"
+        atomic_write_bytes(path, encode_block([[1, 2, 3]]))
+        prefix = BlockReader(path)
+        # Longer than the columns, or of another width: not a prefix.
+        for columns in ([[1, 2]], [[1, 2, 3], [1.0, 2.0, 3.0]]):
+            with pytest.raises(ExportError, match="prefix block"):
+                encode_block(columns, prefix)
+        prefix.close()
+
+
+_MIXED_SCHEMA = TableSchema.build(
+    [
+        Column("i", SqlType.INTEGER, nullable=False),
+        ("a", SqlType.INTEGER),
+        ("f", SqlType.FLOAT),
+        ("s", SqlType.VARCHAR),
+    ],
+    primary_key="i",
+)
+_ROW_A = st.one_of(st.none(), st.integers(-5, 5), st.integers(2**63, 2**64))
+_ROW_F = st.one_of(st.none(), st.floats())
+_ROW_S = st.one_of(st.none(), st.text(max_size=2))
+# Bulk loads store values uncoerced: integral floats and bools land in
+# the INTEGER column, ints in the FLOAT column (an i8 lane that a later
+# float insert turns mixed).
+_LOAD_A = st.one_of(
+    st.lists(st.one_of(st.none(), st.integers(-5, 5)), min_size=1),
+    st.lists(st.integers(-5, 5).map(float), min_size=1),
+    st.lists(st.booleans(), min_size=1),
+)
+_LOAD_F = st.one_of(
+    st.lists(st.integers(-5, 5), min_size=1),
+    st.lists(st.one_of(st.none(), st.floats()), min_size=1),
+    st.lists(st.none(), min_size=1),
+)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("insert"), st.tuples(_ROW_A, _ROW_F, _ROW_S)),
+    st.tuples(
+        st.just("insert_many"),
+        st.lists(st.tuples(_ROW_A, _ROW_F, _ROW_S), min_size=1, max_size=9),
+    ),
+    st.tuples(st.just("load"), st.tuples(_LOAD_A, _LOAD_F)),
+    st.tuples(
+        st.just("failed_flush"),
+        st.lists(st.tuples(_ROW_A, _ROW_F, _ROW_S), min_size=1, max_size=9),
+        st.integers(0, 3),
+    ),
+    st.just(("truncate",)),
+    st.just(("delete",)),
+    st.just(("update",)),
+)
+_DESTRUCTIVE = {
+    "truncate": "DELETE FROM t",
+    "delete": "DELETE FROM t WHERE i MOD 3 = 0",
+    "update": "UPDATE t SET a = a + 1 WHERE i MOD 2 = 0",
+}
+
+
+@pytest.fixture(scope="module")
+def process_db():
+    db = Database(amps=4, executor_workers=2, executor_kind="process")
+    yield db
+    db.close()
+
+
+class TestIncrementalPublishProperty:
+    @given(steps=st.lists(_MUTATIONS, min_size=1, max_size=8))
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_published_blocks_equal_full_encode(self, process_db, steps):
+        db = process_db
+        db.drop_table("t", if_exists=True)
+        table = db.create_table("t", _MIXED_SCHEMA)
+        store = db.columnar_store
+        keys = iter(range(1, 10**6))
+        # What the store held at the last query: row count, version,
+        # and whether a truncate has happened since.
+        rows, version, destructive = 0, table.version, False
+        for step in steps:
+            op = step[0]
+            if op == "insert":
+                table.insert((next(keys), *step[1]))
+            elif op == "insert_many":
+                db.insert_rows("t", [(next(keys), *row) for row in step[1]])
+            elif op == "load":
+                a, f = step[1]
+                count = min(len(a), len(f))
+                db.load_columns(
+                    "t",
+                    {
+                        "i": [next(keys) for _ in range(count)],
+                        "a": a[:count],
+                        "f": f[:count],
+                        "s": ["s"] * count,
+                    },
+                )
+            elif op == "failed_flush":
+                db.faults = FaultPlan().fail("insert.flush", partition=step[2])
+                try:
+                    db.insert_rows(
+                        "t", [(next(keys), *row) for row in step[1]]
+                    )
+                except FaultInjected:
+                    pass  # rolled back: the table is unchanged
+                finally:
+                    db.faults = None
+            else:
+                db.execute(_DESTRUCTIVE[op])
+                destructive = True
+            encoded, reused = store.rows_encoded, store.rows_reused
+            result = db.execute("SELECT count(*) FROM t")
+            assert result.rows == [(table.row_count,)]
+            assert "publish" not in result.metrics.fallback_reason
+            if table.row_count == 0:
+                rows, version, destructive = 0, table.version, False
+                continue
+            published = store.publish(table)
+            assert published["fresh"] is False  # the query published
+            for pid in published["partitions"]:
+                partition = table.partitions[pid]
+                path = store.block_path(
+                    published["table"], published["version"], pid
+                )
+                assert path.read_bytes() == encode_block(
+                    [partition.column(i) for i in range(partition.width)]
+                )
+            if table.version == version:
+                expected = (0, 0)
+            elif destructive:
+                expected = (table.row_count, 0)
+            else:
+                expected = (table.row_count - rows, rows)
+            assert (
+                store.rows_encoded - encoded,
+                store.rows_reused - reused,
+            ) == expected
+            rows, version, destructive = table.row_count, table.version, False
+
+
+class TestStoreLifetime:
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_database_is_freed_without_the_cycle_collector(self, kind):
+        # The drop listener that forgets blocks must not tie the
+        # catalog back to its Database: a cycle there keeps every
+        # dropped database's rows alive until the collector runs.
+        gc.disable()
+        try:
+            db = Database(amps=4, executor_workers=2, executor_kind=kind)
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, v FLOAT)")
+            db.execute("INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 3.0)")
+            db.execute("SELECT sum(v) FROM t")
+            db.close()
+            freed = weakref.ref(db)
+            del db
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
+class TestPublishFailure:
+    def test_publish_failure_is_a_reason_tagged_fallback(self, monkeypatch):
+        sql = "SELECT sum(x1), sum(y), count(*) FROM x"
+        with _loaded_db(workers=2, executor_kind="process") as db:
+
+            def broken(*args, **kwargs):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(columnar, "encode_block", broken)
+            degraded = db.execute(sql)
+            assert degraded.metrics.fallbacks == 1
+            assert degraded.metrics.fallback_reason == (
+                "columnar publish failed: OSError: disk full"
+            )
+            monkeypatch.undo()
+            healthy = db.execute(sql)
+            assert healthy.metrics.fallbacks == 0
+            assert healthy.rows == degraded.rows
 
 
 # ------------------------------------------------- database cache knobs

@@ -24,7 +24,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.models.kmeans import KMeansModel
-from repro.core.nlq_udf import compute_nlq_udf, register_nlq_udfs
+from repro.core.nlq_udf import (
+    compute_nlq_udf,
+    nlq_call_sql,
+    register_nlq_udfs,
+)
 from repro.core.scoring.sqlgen import ScoringSqlGenerator
 from repro.core.scoring.udfs import register_scoring_udfs
 from repro.dbms.database import Database
@@ -222,6 +226,78 @@ class TestExecutorParity:
             assert results[kind][0] == results["serial"][0]
             assert np.array_equal(results[kind][1], results["serial"][1])
             assert np.array_equal(results[kind][2], results["serial"][2])
+
+
+# --------------------------------------------- appends between queries
+class TestAppendThenQuery:
+    @given(seed=st.integers(0, 2**16), workers=st.sampled_from([2, 4]))
+    @settings(**_SETTINGS)
+    def test_appends_keep_executors_bit_identical(self, seed, workers):
+        # Each append moves the table version, so every process-mode
+        # statement below runs on blocks extended by the new rows.
+        statements = [
+            nlq_call_sql("x", dimension_names(D)),
+            AGG_VECTOR,
+            AGG_ROW,
+            SCORING,
+        ]
+        rng = np.random.default_rng(seed)
+        dbs = {
+            kind: _db(_columns(seed), kind, workers)
+            for kind in ("serial", "thread", "process")
+        }
+        try:
+            for step in range(4):
+                first = N_ROWS + 1 + 10 * step
+                batch = [
+                    (first + k, *rng.normal(50.0, 10.0, D), 1.0)
+                    for k in range(1 + 3 * step)
+                ]
+                for sql in statements:
+                    results = {}
+                    for kind, db in dbs.items():
+                        if sql is statements[0]:
+                            db.insert_rows("x", batch)
+                        result = db.execute(sql)
+                        assert result.metrics.fallbacks == 0, (
+                            kind,
+                            result.metrics.fallback_reason,
+                        )
+                        results[kind] = result.rows
+                    assert results["thread"] == results["serial"]
+                    assert results["process"] == results["serial"]
+                    engine = dbs["process"]._executor.engine
+                    assert engine.last_process_fallback is None
+            assert dbs["process"].columnar_store.rows_reused > 0
+        finally:
+            for db in dbs.values():
+                db.close()
+
+    def test_recreated_table_never_serves_dropped_blocks(self):
+        # A dropped table's blocks and the workers' open readers for
+        # them must not answer for a new table of the same name.
+        with Database(
+            amps=4, executor_workers=2, executor_kind="process"
+        ) as db:
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, v FLOAT)")
+            db.execute(
+                "INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)"
+            )
+            assert db.execute("SELECT SUM(v) FROM t").rows == [(10.0,)]
+            dropped = db.columnar_store.table_dir("t")
+            assert dropped.exists()
+            db.execute("DROP TABLE t")
+            assert not dropped.exists()
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, v FLOAT)")
+            # Same name, same version number, same partitions as before.
+            db.execute(
+                "INSERT INTO t VALUES (1, 10.0), (2, 20.0), (3, 30.0), "
+                "(4, 40.0)"
+            )
+            result = db.execute("SELECT SUM(v) FROM t")
+            assert result.rows == [(100.0,)]
+            assert result.metrics.fallbacks == 0
+            assert db._executor.engine.last_process_fallback is None
 
 
 # -------------------------------------------------- process-mode chaos
