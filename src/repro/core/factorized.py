@@ -671,3 +671,21 @@ def combine_fused(
             feature_matrix * feature_matrix
         )
     return counts, linear, quadratic, extra
+
+
+# --------------------------------------------------------------- dispatch
+#: every partition fold by tag.  A fold spec is ``(tag, *args)`` — plain
+#: picklable data — so a thread task and a worker process run the same
+#: call on the same spec (see :func:`fold_partition`).
+PARTITION_FOLDS = {
+    "dim": fold_dim_partition,
+    "summary": fold_summary_fact_partition,
+    "fused": fold_fused_fact_partition,
+    "builtins": fold_builtin_fact_partition,
+}
+
+
+def fold_partition(spec: tuple, rows: Sequence[Sequence[Any]]) -> Any:
+    """Run the fold a ``(tag, *args)`` spec names over one partition."""
+    tag, *args = spec
+    return PARTITION_FOLDS[tag](rows, *args)

@@ -22,14 +22,19 @@ interpreter lock no matter how many cores exist.
 
 The process path never pickles row data.  Callers pass ``map`` a
 ``payloads`` list of plain descriptors — ``(columnar-store root, table,
-version, partition id, plan fragment)`` — and the worker process opens
-the partition's published block file via ``mmap``
-(:mod:`repro.dbms.columnar`), recompiles the plan fragment (cached per
-worker), and returns only the partial state.  Tasks whose plan fragment
-cannot be described this way (closures over lambdas, materialized
-relations) simply pass ``payloads=None`` and run on threads — the
-process executor is an optimization with a by-construction thread
-fallback, never a correctness requirement.  Fault-plan semantics are
+version, partition id, plan description)`` — aligned with the task
+callables.  Both forms run the same task body
+(:data:`repro.dbms.sql.executor.TASK_BODIES`): a thread calls it on the
+in-memory partition, a worker process
+(:mod:`repro.dbms.parallel_worker`) on the partition's published block
+file opened via ``mmap`` (:mod:`repro.dbms.columnar`), with the plan
+fragment recompiled from the description (cached per worker), and
+returns only the partial state.  Tasks whose plan cannot be described
+this way (materialized relations, the batched shared scan) pass
+``payloads=None`` and run on threads; an unpicklable description
+(closures over lambdas) falls back to threads too — the process
+executor is an optimization with a by-construction thread fallback,
+never a correctness requirement.  Fault-plan semantics are
 preserved by shipping each attempt a snapshot of the plan's counters
 and absorbing the worker's counter deltas back into the coordinating
 plan — for failed attempts too, which is what lets bounded retries
@@ -158,8 +163,10 @@ class PartitionEngine:
         self._pool: ThreadPoolExecutor | None = None
         self._process_pool: Any | None = None
         self._pool_lock = threading.Lock()
-        #: why the most recent ``map`` with payloads ran on threads
-        #: anyway (unpicklable payload), or None (test introspection)
+        #: why the most recent ``map`` ran on threads although it was
+        #: given process payloads (unpicklable payload), else None; the
+        #: executor also clears it when a statement starts and counts
+        #: it as a fallback in the statement's QueryMetrics
         self.last_process_fallback: str | None = None
         #: children terminated by the most recent ``_abandon_pool``
         #: (the process-latch test asserts these PIDs die)
@@ -393,6 +400,7 @@ class PartitionEngine:
         """
         self.last_task_retries = 0
         self.last_task_timeouts = 0
+        self.last_process_fallback = None
         if (
             payloads is not None
             and self._kind == "process"
@@ -627,7 +635,6 @@ class PartitionEngine:
         """Pickle-probe the payloads (one cheap dumps) before fanning
         out; an unpicklable plan fragment (e.g. a lambda-backed UDF)
         means the statement runs on threads instead of failing."""
-        self.last_process_fallback = None
         materialized = list(payloads)
         try:
             pickle.dumps(materialized)

@@ -22,6 +22,17 @@ results bit-identical to serial execution.  Real (wall-clock) per-stage
 timings land in a :class:`repro.dbms.metrics.QueryMetrics` record next
 to the analytical cost charges.
 
+Each process-capable partition task kind has exactly one body, defined
+at module level and registered in :data:`TASK_BODIES` (``agg-row``,
+``agg-vector``, ``project``, ``fact-fold``).  A body is called as
+``body(source, pid, faults, fragment)``: on the serial and thread
+engines *source* is the :class:`~repro.dbms.storage.Partition` and
+*fragment* is the plan piece the executor compiled once for the
+statement; in a process-pool worker (:mod:`repro.dbms.parallel_worker`)
+*source* reads the partition's mmap'd columnar block and *fragment* is
+recompiled from the shipped descriptor.  Fault-site order, timings and
+result shape are therefore the same on every executor by construction.
+
 Cost accounting: scans charge per (nominal) row and column; SQL select
 lists charge per term per row; aggregate UDFs charge call overhead,
 parameter transfer, and update arithmetic per row plus merge/return
@@ -32,6 +43,7 @@ the table's row scale (see :mod:`repro.dbms.cost`).
 
 from __future__ import annotations
 
+import functools
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -207,6 +219,248 @@ def _fold_vector_block(
     return local
 
 
+def _compile_vector_fragment(
+    aggregates: list["_AggregateSpec"],
+    group_exprs: list[ast.Expression],
+    resolve: Callable[[ast.ColumnRef], int],
+) -> tuple:
+    """Compile the ``agg-vector`` fragment for one aggregate statement.
+
+    Returns ``(positions, fused, aggregates, group_exprs,
+    group_vector_fns)``: the storage positions the block materializes
+    (in matrix-column order), the ``(fault site, udf)`` pairs of fused
+    aggregates, the specs prepared for block accumulation, and the
+    compiled group-key functions.  *resolve* maps a column to its
+    storage position — the binder on the coordinator, the shipped
+    position map in a worker — so both sides build the same block.
+    """
+    needed = referenced_columns_of_all(
+        [spec.call.call for spec in aggregates] + list(group_exprs)
+    )
+    matrix_resolver = _matrix_resolver(needed)
+    for spec in aggregates:
+        spec.prepare_vector(matrix_resolver)
+    # Aggregates that declare a fault site (the fused clustering
+    # iteration UDFs) arm it per task, between block materialization
+    # and accumulation.
+    fused = [
+        (site, spec.call.name)
+        for spec in aggregates
+        if (site := getattr(spec.aggregate, "fault_site", None))
+    ]
+    return (
+        [resolve(ref) for ref in needed],
+        fused,
+        aggregates,
+        list(group_exprs),
+        [compile_vector_expression(expr, matrix_resolver) for expr in group_exprs],
+    )
+
+
+# ------------------------------------------------------------- task bodies
+def agg_row_task(
+    source: Any, pid: int, faults: Any, fragment: tuple
+) -> tuple[dict[tuple, list[Any]], int, float, float]:
+    """Row-path aggregate over one partition.
+
+    *fragment* is ``(aggregate specs, group functions, WHERE function)``.
+    Returns ``(partials, rows folded, scan s, accumulate s)``.
+    """
+    aggregates, group_fns, where_fn = fragment
+    scan_start = time.perf_counter()
+    if faults.enabled:
+        faults.fire("partition.scan", partition=pid)
+    rows = list(source.rows())
+    accumulate_start = time.perf_counter()
+    local, folded = _fold_rows_into(rows, aggregates, group_fns, where_fn)
+    done = time.perf_counter()
+    return local, folded, accumulate_start - scan_start, done - accumulate_start
+
+
+def agg_vector_task(
+    source: Any, pid: int, faults: Any, fragment: tuple
+) -> tuple[dict[tuple, list[Any]], int, float, float, BlockCacheStats]:
+    """Vector-path aggregate over one partition's float block.
+
+    *fragment* comes from :func:`_compile_vector_fragment`.  Returns
+    ``(partials, rows, scan s, accumulate s, block-cache stats)``.
+    """
+    positions, fused, aggregates, group_exprs, group_vector_fns = fragment
+    scan_start = time.perf_counter()
+    if faults.enabled:
+        faults.fire("block.materialize", partition=pid)
+    block, stats = source.numeric_matrix_with_cache_stats(positions)
+    if faults.enabled:
+        for site, udf_name in fused:
+            faults.fire(site, partition=pid, udf=udf_name)
+    accumulate_start = time.perf_counter()
+    local = _fold_vector_block(block, aggregates, group_exprs, group_vector_fns)
+    done = time.perf_counter()
+    return (
+        local,
+        block.shape[0],
+        accumulate_start - scan_start,
+        done - accumulate_start,
+        stats,
+    )
+
+
+def project_task(
+    source: Any, pid: int, faults: Any, plan: VectorizedSelectPlan
+) -> tuple[list[tuple], int, float, float, BlockCacheStats]:
+    """Block-wise projection of one partition.
+
+    Materializes the plan's column block, applies the WHERE truth
+    vector, and evaluates the select items as numpy functions (filter
+    first, then project — so, like the row path, item expressions never
+    see filtered-out rows).  Raw column items are served from the
+    source's stored values; block items restore NaN to None (and
+    1-based subscripts to int) per row.  Returns ``(rows, rows scanned,
+    scan s, project s, block-cache stats)``.
+    """
+    scan_start = time.perf_counter()
+    if faults.enabled:
+        faults.fire("block.materialize", partition=pid)
+    block, stats = source.numeric_matrix_with_cache_stats(plan.positions)
+    project_start = time.perf_counter()
+    keep_list: list[int] | None = None
+    if plan.where_fn is None:
+        sub = block
+    else:
+        keep = np.flatnonzero(plan.where_fn(block) == 1.0)
+        sub = block[keep]
+        keep_list = keep.tolist()
+    columns: list[list[Any]] = []
+    for item in plan.items:
+        if isinstance(item, RawColumnItem):
+            values = source.column(item.position)
+            if keep_list is None:
+                columns.append(list(values))
+            else:
+                columns.append([values[i] for i in keep_list])
+        elif item.integer_result:
+            columns.append(
+                [None if v != v else int(v) for v in item.fn(sub).tolist()]
+            )
+        else:
+            # v != v is the NaN test; NaN carried NULL.
+            columns.append(
+                [None if v != v else v for v in item.fn(sub).tolist()]
+            )
+    out = list(zip(*columns)) if columns else []
+    done = time.perf_counter()
+    return (
+        out,
+        block.shape[0],
+        project_start - scan_start,
+        done - project_start,
+        stats,
+    )
+
+
+def fact_fold_task(
+    source: Any, pid: int, faults: Any, fragment: tuple
+) -> tuple[Any, int, float, float]:
+    """One factorized partition fold.
+
+    *fragment* is ``(fold spec, fault site, udf name)``; the fold spec
+    is the ``(tag, *args)`` data :func:`repro.core.factorized.
+    fold_partition` runs.  Returns ``(partial, rows, scan s, fold s)``.
+    """
+    fold, fire_site, fire_udf = fragment
+    scan_start = time.perf_counter()
+    if faults.enabled:
+        faults.fire("partition.scan", partition=pid)
+    rows = list(source.rows())
+    if fire_site is not None and faults.enabled:
+        faults.fire(fire_site, partition=pid, udf=fire_udf)
+    fold_start = time.perf_counter()
+    partial_state = fcore.fold_partition(fold, rows)
+    done = time.perf_counter()
+    return partial_state, len(rows), fold_start - scan_start, done - fold_start
+
+
+#: the process-capable task kinds, by the ``kind`` a descriptor names
+TASK_BODIES: dict[str, Callable[..., Any]] = {
+    "agg-row": agg_row_task,
+    "agg-vector": agg_vector_task,
+    "project": project_task,
+    "fact-fold": fact_fold_task,
+}
+
+
+def _batch_task(
+    partition: Any, pid: int, faults: Any, statements: "list[_BatchStatement]"
+) -> tuple[list[dict], list[BlockCacheStats], int, float, float]:
+    """One partition of a consolidated batch (thread engine only).
+
+    Reads the partition once — rows if any statement is on the row
+    path, plus one column block per vector statement — and folds every
+    statement's partials with the same fold helpers the single-statement
+    bodies use.  Returns ``(partials per statement, block-cache stats
+    per vector statement, rows, scan s, accumulate s)``.
+    """
+    need_rows = any(not stmt.use_vector for stmt in statements)
+    scan_start = time.perf_counter()
+    if need_rows and faults.enabled:
+        faults.fire("partition.scan", partition=pid)
+    rows = list(partition.rows()) if need_rows else None
+    blocks: list[Any] = []
+    cache_stats: list[BlockCacheStats] = []
+    for stmt in statements:
+        if not stmt.use_vector:
+            continue
+        positions, fused = stmt.vector_fragment[:2]
+        if faults.enabled:
+            faults.fire("block.materialize", partition=pid)
+        block, stats = partition.numeric_matrix_with_cache_stats(positions)
+        if faults.enabled:
+            for site, udf_name in fused:
+                faults.fire(site, partition=pid, udf=udf_name)
+        blocks.append(block)
+        cache_stats.append(stats)
+    accumulate_start = time.perf_counter()
+    locals_out: list[dict[tuple, list[Any]]] = []
+    vector_blocks = iter(blocks)
+    for stmt in statements:
+        if stmt.use_vector:
+            _, _, aggregates, group_exprs, group_vector_fns = stmt.vector_fragment
+            local = _fold_vector_block(
+                next(vector_blocks), aggregates, group_exprs, group_vector_fns
+            )
+        else:
+            local, _ = _fold_rows_into(
+                rows, stmt.aggregates, stmt.group_fns, stmt.where_fn
+            )
+        locals_out.append(local)
+    done = time.perf_counter()
+    return (
+        locals_out,
+        cache_stats,
+        partition.row_count,
+        accumulate_start - scan_start,
+        done - accumulate_start,
+    )
+
+
+def _merge_into(
+    groups: dict[tuple, list[Any]],
+    aggregates: list["_AggregateSpec"],
+    local: dict[tuple, list[Any]],
+) -> None:
+    """Merge one partition's partial states into *groups* (first
+    appearance keeps scan order)."""
+    for key, partial_states in local.items():
+        states = groups.get(key)
+        if states is None:
+            groups[key] = partial_states
+        else:
+            for position, spec in enumerate(aggregates):
+                states[position] = spec.merge(
+                    states[position], partial_states[position]
+                )
+
+
 class _BatchStatement:
     """Per-statement state threaded through a consolidated batch.
 
@@ -239,10 +493,9 @@ class _BatchStatement:
         #: exactly the serial eligibility test)
         self.use_vector = False
         self.result: Relation | None = None
-        # Vector-path compilation products (set by _batch_fan_out).
-        self.vector_positions: list[int] = []
-        self.group_vector_fns: list[Any] = []
-        self.fused_udfs: list[tuple[str, str]] = []
+        #: the agg-vector fragment when ``use_vector`` (set by
+        #: _batch_fan_out; see _compile_vector_fragment)
+        self.vector_fragment: tuple = ()
 
 
 class Executor:
@@ -298,64 +551,149 @@ class Executor:
         self.last_factorize_decision: "FactorizeDecision | None" = None
         #: columnar block store used to ship zero-copy partition
         #: descriptors to process-pool workers; installed by a durable
-        #: or process-enabled Database, ``None`` keeps every fan-out on
-        #: in-process closures
+        #: or process-enabled Database, ``None`` keeps every fan-out in
+        #: process
         self.columnar_store: "Any | None" = None
 
     # ----------------------------------------------------------- supervision
-    def _engine_map(
+    def _fan_out(
         self,
-        tasks: Sequence[Callable[[], Any]],
-        spans: "list[Span] | None" = None,
-        partition_ids: "Sequence[int] | None" = None,
-        payloads: "Sequence[Any] | None" = None,
-    ) -> list[Any]:
-        """Run per-partition scan tasks on the engine, folding the
-        engine's retry/timeout counters into this statement's metrics —
-        also when the map fails (a degraded statement still reports the
-        retries its failed attempt spent)."""
+        table: Table,
+        body: Callable[..., Any],
+        fragment: Any,
+        describe: "Callable[[], dict[str, Any]] | None" = None,
+    ) -> "tuple[list[Any], list[Span] | None, list[int]]":
+        """Run *body* once per non-empty partition of *table*.
+
+        Each task calls ``body(partition, pid, faults, fragment)`` —
+        inline, on the thread pool, or, when *describe* is given and
+        the engine uses processes, as a descriptor (``describe()`` plus
+        the partition's block address, see :meth:`_process_payloads`)
+        that a worker process runs through the same body.  Every fan-out
+        is a pure partition scan, so the engine's bounded retries may
+        safely re-run a task.  The engine's retry/timeout counters fold
+        into this statement's metrics also when the map fails (a
+        degraded statement still reports what its failed attempt
+        spent), and a process fan-out the engine had to run on threads
+        counts as a reason-tagged fallback.
+
+        Returns ``(results in partition order, task spans or None,
+        partition ids)``; the task spans are already attached to the
+        innermost open trace span.
+        """
+        numbered = [
+            (pid, partition)
+            for pid, partition in enumerate(table.partitions)
+            if partition.row_count
+        ]
+        partition_ids = [pid for pid, _ in numbered]
+        faults = self.faults
+        tasks = [
+            functools.partial(body, partition, pid, faults, fragment)
+            for pid, partition in numbered
+        ]
+        payloads = (
+            None
+            if describe is None
+            else self._process_payloads(table, describe, partition_ids)
+        )
+        task_spans: "list[Span] | None" = [] if self.tracer.enabled else None
         engine = self.engine
+        metrics = self.last_metrics
         try:
-            # Every executor fan-out is a pure partition scan, so the
-            # engine's bounded retries may safely re-run a task.
-            return engine.map(
+            results = engine.map(
                 tasks,
-                spans,
+                task_spans,
                 idempotent=True,
                 partition_ids=partition_ids,
                 payloads=payloads,
             )
         finally:
-            self.last_metrics.task_retries += engine.last_task_retries
-            self.last_metrics.task_timeouts += engine.last_task_timeouts
+            metrics.task_retries += engine.last_task_retries
+            metrics.task_timeouts += engine.last_task_timeouts
+            if engine.last_process_fallback is not None:
+                self._count_fallback(
+                    "process fan-out ran on threads: "
+                    f"{engine.last_process_fallback}"
+                )
+        if task_spans is not None:
+            self.tracer.attach(task_spans)
+        metrics.parallel_tasks += len(tasks)
+        return results, task_spans, partition_ids
 
-    def _published_for_process(self, table: Table) -> "dict | None":
-        """Columnar block descriptor for *table*, or None when this
-        fan-out must stay on in-process closures (thread engine, no
-        store installed, or publish failed — e.g. an unencodable value
-        or a full disk; recorded as a fallback)."""
+    def _process_payloads(
+        self,
+        table: Table,
+        describe: "Callable[[], dict[str, Any]]",
+        partition_ids: Sequence[int],
+    ) -> "list[dict] | None":
+        """Process-pool descriptors for one fan-out over *table*, or None
+        when it must stay in-process (thread engine, no store installed,
+        or publish failed — e.g. an unencodable value or a full disk;
+        recorded as a fallback).
+
+        Every descriptor carries the plan description *describe*
+        returns (ASTs, aggregate objects, position maps: what the
+        worker recompiles its fragment from), a per-statement
+        fingerprint keying the worker's compile cache, the block-cache
+        hit flag (was this table version already published?), and the
+        partition's block address ``(root, table, version, pid)`` —
+        rows travel through the mmap'd block, never through pickle.
+        """
         if not self.engine.uses_processes or self.columnar_store is None:
             return None
         try:
-            return self.columnar_store.publish(table)
+            published = self.columnar_store.publish(table)
         except Exception as exc:
-            self.last_metrics.fallbacks += 1
-            self.last_metrics.fallback_reason = (
+            self._count_fallback(
                 f"columnar publish failed: {_describe_failure(exc)}"
             )
             return None
+        base = {
+            **describe(),
+            "fingerprint": uuid.uuid4().hex,
+            "cached": not published["fresh"],
+        }
+        address = (published["root"], published["table"], published["version"])
+        return [{**base, "block": (*address, pid)} for pid in partition_ids]
+
+    def _aggregate_description(
+        self,
+        kind: str,
+        aggregates: list["_AggregateSpec"],
+        binder: Binder,
+        group_exprs: list[ast.Expression],
+        where_expr: "ast.Expression | None" = None,
+    ) -> dict[str, Any]:
+        """The shipped plan of an ``agg-row`` / ``agg-vector`` fan-out:
+        the aggregate calls and objects, GROUP BY and WHERE ASTs, the
+        storage position of every referenced column, and the scalar
+        UDFs the expressions call."""
+        expressions = [spec.call.call for spec in aggregates] + list(group_exprs)
+        if where_expr is not None:
+            expressions.append(where_expr)
+        return {
+            "kind": kind,
+            "calls": [spec.call for spec in aggregates],
+            "aggregates": [spec.aggregate for spec in aggregates],
+            "group_exprs": list(group_exprs),
+            "where": where_expr,
+            "resolve": {
+                (ref.table, ref.name.lower()): binder.resolve(ref)
+                for ref in referenced_columns_of_all(expressions)
+            },
+            "scalar_udfs": self._shippable_scalar_udfs(expressions),
+        }
 
     def _shippable_scalar_udfs(
-        self, expressions: "Sequence[ast.Expression | None]"
-    ) -> "dict[str, Any] | None":
+        self, expressions: Sequence[ast.Expression]
+    ) -> dict[str, Any]:
         """Registered scalar UDFs referenced by *expressions*, keyed by
-        lowercase name, for shipping to worker processes.  Returns None
-        when a referenced UDF exists but cannot be resolved — the
-        caller must then keep the fan-out in-process."""
+        lowercase name, for shipping to worker processes.  Builtins are
+        left out (workers resolve them themselves); whether the UDFs
+        pickle is the engine's pickle probe's call."""
         shipped: dict[str, Any] = {}
         for expression in expressions:
-            if expression is None:
-                continue
             for node in ast.walk(expression):
                 if not isinstance(node, ast.FuncCall):
                     continue
@@ -363,6 +701,20 @@ class Executor:
                 if udf is not None:
                     shipped[node.name.lower()] = udf
         return shipped
+
+    def _cached_blocks(
+        self, table: Table, positions: Sequence[int]
+    ) -> "list[bool] | None":
+        """Under tracing, whether each non-empty partition already caches
+        its block for *positions* — checked before the tasks run (they
+        populate the cache), so ANALYZE shows pre-built blocks."""
+        if not self.tracer.enabled:
+            return None
+        return [
+            partition.has_cached_block(positions)
+            for partition in table.partitions
+            if partition.row_count
+        ]
 
     def _fold_cache_stats(self, stats: "BlockCacheStats") -> None:
         """Fold one task's block-cache outcome into this statement's
@@ -377,10 +729,78 @@ class Executor:
         metrics.blocks_spilled += stats.spilled_blocks
         metrics.bytes_spilled += stats.spilled_bytes
 
-    def _rollback_metrics(self, snapshot: "dict[str, Any]") -> None:
-        """Restore metrics to *snapshot*, keeping the retry/timeout
-        counters the failed attempt accrued (real events the degraded
-        statement must still report)."""
+    def _record_task(
+        self,
+        task_spans: "list[Span] | None",
+        index: int,
+        partition_id: int,
+        scanned: int,
+        processed: bool,
+        scan_seconds: float,
+        stage: str,
+        stage_seconds: float,
+        **attributes: Any,
+    ) -> None:
+        """Fold one partition task's counts and timings into the
+        statement metrics: *scanned* rows, the partition when
+        *processed*, and the seconds of ``scan`` and *stage*
+        (``accumulate`` or ``project``).
+
+        Under tracing, the task's engine-built span gains ``partition``
+        and ``rows`` (= *scanned*) attributes, then *attributes* in
+        order (which may override ``rows``), and ``scan`` / *stage*
+        child spans built from the *same* floats added to the metrics —
+        summed in the same partition order, so the span totals and the
+        stage totals are identical, not approximations.
+        """
+        metrics = self.last_metrics
+        metrics.scan_seconds += scan_seconds
+        stage_attribute = f"{stage}_seconds"
+        setattr(
+            metrics,
+            stage_attribute,
+            getattr(metrics, stage_attribute) + stage_seconds,
+        )
+        metrics.rows_processed += scanned
+        if processed:
+            metrics.partitions_processed += 1
+        if task_spans is not None:
+            span = task_spans[index]
+            span.attributes["partition"] = partition_id
+            span.attributes["rows"] = scanned
+            span.attributes.update(attributes)
+            span.children.append(Span("scan", seconds=scan_seconds))
+            span.children.append(Span(stage, seconds=stage_seconds))
+
+    def _count_fallback(self, reason: str) -> str:
+        """Count one reason-tagged fallback in this statement's metrics."""
+        self.last_metrics.fallbacks += 1
+        self.last_metrics.fallback_reason = reason
+        return reason
+
+    def _degrade(
+        self, operator: str, snapshot: "dict[str, Any]", exc: BaseException
+    ) -> str:
+        """Unwind a failed optimized attempt before the reference path
+        retries; returns the fallback reason.
+
+        The attempt's *operator* span (already closed by the unwinding
+        ``with tracer.span(...)``, so the last child of the innermost
+        open span) is marked ``failed``: it stays visible in the ANALYZE
+        trace while :func:`~repro.dbms.sql.plan._operator_spans` skips
+        it when pairing spans with plan operators — the retry's span is
+        the one that pairs.  Metrics are restored to *snapshot*, keeping
+        the retry/timeout counters the failed attempt accrued (real
+        events the degraded statement must still report), and the
+        fallback is counted.
+        """
+        reason = _describe_failure(exc)
+        current = self.tracer.current
+        if current is not None and current.children:
+            last = current.children[-1]
+            if last.name == operator:
+                last.attributes["failed"] = True
+                last.attributes["error"] = reason
         metrics = self.last_metrics
         task_retries = metrics.task_retries
         task_timeouts = metrics.task_timeouts
@@ -388,29 +808,15 @@ class Executor:
             setattr(metrics, name, value)
         metrics.task_retries = task_retries
         metrics.task_timeouts = task_timeouts
-
-    def _note_failed_span(self, operator: str, exc: BaseException) -> None:
-        """Mark the span a failed vectorized attempt left behind.
-
-        The attempt's ``with tracer.span(...)`` already closed (the
-        exception unwound it), so the span is the last child of the
-        innermost open span.  Marking it ``failed`` keeps it visible in
-        the ANALYZE trace while :func:`~repro.dbms.sql.plan.
-        _operator_spans` skips it when pairing spans with plan
-        operators — the row-path retry's span is the one that pairs.
-        """
-        current = self.tracer.current
-        if current is None or not current.children:
-            return
-        last = current.children[-1]
-        if last.name == operator:
-            last.attributes["failed"] = True
-            last.attributes["error"] = _describe_failure(exc)
+        return self._count_fallback(reason)
 
     # --------------------------------------------------------------- dispatch
     def execute(self, statement: ast.Statement) -> Relation:
         self.last_metrics = QueryMetrics(workers=self.engine.workers)
         self.last_plan = None
+        # A statement that runs no fan-out must not report the previous
+        # statement's process fallback.
+        self.engine.last_process_fallback = None
         started = time.perf_counter()
         try:
             return self._dispatch(statement)
@@ -644,6 +1050,7 @@ class Executor:
         """
         self.last_metrics = QueryMetrics(workers=self.engine.workers)
         self.last_plan = None
+        self.engine.last_process_fallback = None
         started = time.perf_counter()
         try:
             return self._execute_batch_consolidated(selects, decision)
@@ -743,7 +1150,7 @@ class Executor:
         return (
             stmt.where_fn is None
             and all(spec.vector_ready for spec in stmt.aggregates)
-            and self._vector_group_keys_ready(stmt.group_exprs, stmt.binder)
+            and self._vector_group_keys_ready(stmt.group_exprs)
             and self._referenced_columns_numeric(
                 stmt.env, stmt.aggregates, stmt.group_exprs, stmt.binder
             )
@@ -760,151 +1167,51 @@ class Executor:
         once with every statement on the row path; an all-row batch
         propagates, as the serial row path does.
         """
-        if any(stmt.use_vector for stmt in statements):
-            snapshot = self.last_metrics.to_dict()
-            try:
-                with self.tracer.span("aggregate") as span:
-                    self._batch_fan_out(table, statements)
-                    if span is not None:
-                        span.attributes["strategy"] = "shared-scan"
-                        span.attributes["statements"] = len(statements)
-                return
-            except Exception as exc:
-                fallback_reason = _describe_failure(exc)
-                self._note_failed_span("aggregate", exc)
-                self._rollback_metrics(snapshot)
-                self.last_metrics.fallbacks += 1
-                self.last_metrics.fallback_reason = fallback_reason
-                for stmt in statements:
-                    stmt.groups.clear()
-                    if not stmt.group_exprs:
-                        stmt.groups[()] = [
-                            spec.initialize() for spec in stmt.aggregates
-                        ]
-                    stmt.use_vector = False
+        snapshot = (
+            self.last_metrics.to_dict()
+            if any(stmt.use_vector for stmt in statements)
+            else None
+        )
+        try:
             with self.tracer.span("aggregate") as span:
                 self._batch_fan_out(table, statements)
                 if span is not None:
-                    span.attributes["strategy"] = "shared-scan row (fallback)"
-                    span.attributes["fallback_reason"] = fallback_reason
+                    span.attributes["strategy"] = "shared-scan"
                     span.attributes["statements"] = len(statements)
             return
+        except Exception as exc:
+            if snapshot is None:
+                raise
+            fallback_reason = self._degrade("aggregate", snapshot, exc)
+        for stmt in statements:
+            stmt.groups.clear()
+            if not stmt.group_exprs:
+                stmt.groups[()] = [spec.initialize() for spec in stmt.aggregates]
+            stmt.use_vector = False
         with self.tracer.span("aggregate") as span:
             self._batch_fan_out(table, statements)
             if span is not None:
-                span.attributes["strategy"] = "shared-scan"
+                span.attributes["strategy"] = "shared-scan row (fallback)"
+                span.attributes["fallback_reason"] = fallback_reason
                 span.attributes["statements"] = len(statements)
 
     def _batch_fan_out(
         self, table: Table, statements: "list[_BatchStatement]"
     ) -> None:
-        """One partition-parallel pass feeding N accumulator sets per task.
-
-        Each task reads its partition once — rows if any statement is on
-        the row path, plus one column block per vector statement — and
-        folds every statement's partials with the same fold helpers the
-        serial paths use.  Partials merge strictly in partition order
-        per statement, so each statement's result is bit-identical to
-        its serial execution at any worker count.
+        """One partition-parallel pass feeding N accumulator sets per task
+        (see :func:`_batch_task`).  Partials merge strictly in partition
+        order per statement, so each statement's result is bit-identical
+        to its serial execution at any worker count.
         """
-        row_stmts = [stmt for stmt in statements if not stmt.use_vector]
-        vector_stmts = [stmt for stmt in statements if stmt.use_vector]
-        for stmt in vector_stmts:
-            needed = referenced_columns_of_all(
-                [spec.call.call for spec in stmt.aggregates]
-                + list(stmt.group_exprs)
-            )
-            resolver_map = {
-                (ref.table, ref.name.lower()): index
-                for index, ref in enumerate(needed)
-            }
-            stmt.vector_positions = [stmt.binder.resolve(ref) for ref in needed]
-
-            def matrix_resolver(
-                ref: ast.ColumnRef, _map=resolver_map
-            ) -> int:
-                return _map[(ref.table, ref.name.lower())]
-
-            stmt.group_vector_fns = [
-                compile_vector_expression(expr, matrix_resolver)
-                for expr in stmt.group_exprs
-            ]
-            for spec in stmt.aggregates:
-                spec.prepare_vector(matrix_resolver)
-            stmt.fused_udfs = [
-                (site, spec.call.name)
-                for spec in stmt.aggregates
-                if (site := getattr(spec.aggregate, "fault_site", None))
-            ]
-
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        faults = self.faults
-        need_rows = bool(row_stmts)
-
-        def make_task(pid, partition):
-            def task() -> tuple[
-                list[dict], list[BlockCacheStats], int, float, float
-            ]:
-                scan_start = time.perf_counter()
-                if need_rows and faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows()) if need_rows else None
-                blocks: list[Any] = []
-                cache_stats: list[BlockCacheStats] = []
-                for stmt in vector_stmts:
-                    if faults.enabled:
-                        faults.fire("block.materialize", partition=pid)
-                    block, stats = partition.numeric_matrix_with_cache_stats(
-                        stmt.vector_positions
-                    )
-                    if faults.enabled:
-                        for site, udf_name in stmt.fused_udfs:
-                            faults.fire(site, partition=pid, udf=udf_name)
-                    blocks.append(block)
-                    cache_stats.append(stats)
-                accumulate_start = time.perf_counter()
-                locals_out: list[dict[tuple, list[Any]]] = []
-                vector_index = 0
-                for stmt in statements:
-                    if stmt.use_vector:
-                        local = _fold_vector_block(
-                            blocks[vector_index],
-                            stmt.aggregates,
-                            stmt.group_exprs,
-                            stmt.group_vector_fns,
-                        )
-                        vector_index += 1
-                    else:
-                        local, _ = _fold_rows_into(
-                            rows, stmt.aggregates, stmt.group_fns, stmt.where_fn
-                        )
-                    locals_out.append(local)
-                done = time.perf_counter()
-                return (
-                    locals_out,
-                    cache_stats,
-                    partition.row_count,
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
+        for stmt in statements:
+            if stmt.use_vector:
+                stmt.vector_fragment = _compile_vector_fragment(
+                    stmt.aggregates, stmt.group_exprs, stmt.binder.resolve
                 )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        task_spans: list[Span] | None = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(tasks, task_spans, partition_ids)
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(tasks, partition_ids=partition_ids)
+        results, task_spans, partition_ids = self._fan_out(
+            table, _batch_task, statements
+        )
         metrics = self.last_metrics
-        metrics.parallel_tasks += len(numbered)
         for result in results:
             for stats in result[1]:
                 self._fold_cache_stats(stats)
@@ -913,32 +1220,21 @@ class Executor:
         ):
             for index, result in enumerate(results):
                 locals_out, _, scanned, scan_seconds, accumulate_seconds = result
-                metrics.scan_seconds += scan_seconds
-                metrics.accumulate_seconds += accumulate_seconds
                 # Physical rows read ONCE per partition, however many
                 # statements they fed — the number the shared scan is for.
-                metrics.rows_processed += scanned
-                if any(locals_out):
-                    metrics.partitions_processed += 1
-                if task_spans is not None:
-                    span = task_spans[index]
-                    span.attributes["partition"] = partition_ids[index]
-                    span.attributes["rows"] = scanned
-                    span.attributes["statements"] = len(statements)
-                    span.children.append(Span("scan", seconds=scan_seconds))
-                    span.children.append(
-                        Span("accumulate", seconds=accumulate_seconds)
-                    )
+                self._record_task(
+                    task_spans,
+                    index,
+                    partition_ids[index],
+                    scanned,
+                    any(locals_out),
+                    scan_seconds,
+                    "accumulate",
+                    accumulate_seconds,
+                    statements=len(statements),
+                )
                 for stmt, local in zip(statements, locals_out):
-                    for key, partial in local.items():
-                        states = stmt.groups.get(key)
-                        if states is None:
-                            stmt.groups[key] = partial
-                        else:
-                            for position, spec in enumerate(stmt.aggregates):
-                                states[position] = spec.merge(
-                                    states[position], partial[position]
-                                )
+                    _merge_into(stmt.groups, stmt.aggregates, local)
 
     # ------------------------------------------------------ FROM environment
     def _build_from_environment(self, select: ast.Select) -> Relation:
@@ -1074,11 +1370,7 @@ class Executor:
                     # with the failed attempt's metrics unwound so the
                     # statement reports row-path numbers plus the
                     # fallback itself.
-                    fallback_reason = _describe_failure(exc)
-                    self._note_failed_span("project", exc)
-                    self._rollback_metrics(snapshot)
-                    self.last_metrics.fallbacks += 1
-                    self.last_metrics.fallback_reason = fallback_reason
+                    fallback_reason = self._degrade("project", snapshot, exc)
 
         with self.tracer.span("scan") as scan_span, StageTimer(
             self.last_metrics, "scan", scan_span
@@ -1119,183 +1411,68 @@ class Executor:
         order_context = _OrderContext(rows, binder, None)
         return result, order_context
 
-    def _project_payloads(
-        self,
-        select: "ast.Select | None",
-        plan: VectorizedSelectPlan,
-        partition_ids: Sequence[int],
-    ) -> "list[dict] | None":
-        """Process-pool descriptors for a block-wise projection, or None
-        to keep it in-process.  Workers re-plan the SELECT against a
-        schema shim with the same planner, so the compiled block
-        functions are recreated (closures don't pickle) yet identical."""
-        table = plan.table
-        published = self._published_for_process(table)
-        if published is None or select is None:
-            return None
-        expressions: list[ast.Expression] = [
-            item.expression for item in select.items
-        ]
-        if select.where is not None:
-            expressions.append(select.where)
-        expressions.extend(expr for expr, _ in select.order_by)
-        base = {
-            "kind": "project",
-            "fingerprint": uuid.uuid4().hex,
-            "select": select,
-            "table_name": table.name,
-            "schema": table.schema,
-            "scalar_udfs": self._shippable_scalar_udfs(expressions),
-            "cached": not published["fresh"],
-        }
-        return [
-            {
-                **base,
-                "block": (
-                    published["root"],
-                    published["table"],
-                    published["version"],
-                    pid,
-                ),
-            }
-            for pid in partition_ids
-        ]
-
     def _execute_projection_vectorized(
         self,
         env: Relation,
         binder: Binder,
         items: Sequence[ast.SelectItem],
         plan: VectorizedSelectPlan,
-        select: "ast.Select | None" = None,
+        select: ast.Select,
     ) -> "tuple[Relation, _OrderContext]":
-        """Run one block-wise projection: one engine task per non-empty
-        partition, each materializing its column block, applying the
-        WHERE truth vector, and evaluating the select items as numpy
-        functions (filter first, then project — so, like the row path,
-        item expressions never see filtered-out rows).
+        """Run one block-wise projection: one :func:`project_task` per
+        non-empty partition.
 
         Results concatenate in partition order, so the output row order
-        equals the row path's scan order exactly.  Raw column items are
-        served from the partition's Python value lists; block items
-        restore NaN to None (and 1-based subscripts to int) per row.
+        equals the row path's scan order exactly.
         """
         table = plan.table
-        positions = plan.positions
-        where_fn = plan.where_fn
-        plan_items = plan.items
 
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
+        def describe() -> dict[str, Any]:
+            # Workers re-plan the SELECT against a schema shim with the
+            # same planner, so the compiled block functions are
+            # recreated (closures don't pickle) yet identical.
+            expressions = [item.expression for item in select.items]
+            if select.where is not None:
+                expressions.append(select.where)
+            expressions.extend(expr for expr, _ in select.order_by)
+            return {
+                "kind": "project",
+                "select": select,
+                "table_name": table.name,
+                "schema": table.schema,
+                "scalar_udfs": self._shippable_scalar_udfs(expressions),
+            }
 
-        def make_task(pid, partition):
-            def task() -> tuple[
-                list[tuple], int, float, float, BlockCacheStats
-            ]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("block.materialize", partition=pid)
-                block, stats = partition.numeric_matrix_with_cache_stats(
-                    positions
-                )
-                project_start = time.perf_counter()
-                keep_list: list[int] | None = None
-                if where_fn is None:
-                    sub = block
-                else:
-                    keep = np.flatnonzero(where_fn(block) == 1.0)
-                    sub = block[keep]
-                    keep_list = keep.tolist()
-                columns: list[list[Any]] = []
-                for item in plan_items:
-                    if isinstance(item, RawColumnItem):
-                        source = partition.column(item.position)
-                        if keep_list is None:
-                            columns.append(list(source))
-                        else:
-                            columns.append([source[i] for i in keep_list])
-                    else:
-                        values = item.fn(sub)
-                        if item.integer_result:
-                            columns.append(
-                                [
-                                    None if v != v else int(v)
-                                    for v in values.tolist()
-                                ]
-                            )
-                        else:
-                            # v != v is the NaN test; NaN carried NULL.
-                            columns.append(
-                                [
-                                    None if v != v else v
-                                    for v in values.tolist()
-                                ]
-                            )
-                out = list(zip(*columns)) if columns else []
-                done = time.perf_counter()
-                return (
-                    out,
-                    block.shape[0],
-                    project_start - scan_start,
-                    done - project_start,
-                    stats,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads = self._project_payloads(select, plan, partition_ids)
         metrics = self.last_metrics
         out_rows: list[tuple] = []
         with self.tracer.span("project") as project_span:
-            task_spans: list[Span] | None = None
-            cached_blocks: list[bool] | None = None
-            if self.tracer.enabled:
-                # Checked before the tasks run (they populate the
-                # cache), so ANALYZE shows pre-built blocks.
-                cached_blocks = [
-                    partition.has_cached_block(positions)
-                    for partition in partitions
-                ]
-                task_spans = []
-                results = self._engine_map(
-                    tasks, task_spans, partition_ids, payloads=payloads
-                )
-                self.tracer.attach(task_spans)
-            else:
-                results = self._engine_map(
-                    tasks, partition_ids=partition_ids, payloads=payloads
-                )
-            metrics.parallel_tasks += len(partitions)
+            cached_blocks = self._cached_blocks(table, plan.positions)
+            results, task_spans, partition_ids = self._fan_out(
+                table, project_task, plan, describe
+            )
             for index, result in enumerate(results):
                 rows, scanned, scan_seconds, project_seconds, stats = result
-                metrics.scan_seconds += scan_seconds
-                metrics.project_seconds += project_seconds
-                metrics.rows_processed += scanned
-                metrics.partitions_processed += 1
                 # Each task reports its own block-cache outcome, so the
                 # statement totals are assembled from per-task locals in
                 # partition order — immune to a straggler task from
                 # another statement racing the shared partition
                 # counters.
                 self._fold_cache_stats(stats)
-                if task_spans is not None:
-                    span = task_spans[index]
-                    span.attributes["partition"] = numbered[index][0]
-                    span.attributes["rows"] = len(rows)
-                    span.attributes["strategy"] = "vectorized-scan"
-                    if cached_blocks is not None:
-                        span.attributes["cached_block"] = cached_blocks[index]
-                    span.children.append(Span("scan", seconds=scan_seconds))
-                    span.children.append(
-                        Span("project", seconds=project_seconds)
-                    )
+                extra: dict[str, Any] = {"strategy": "vectorized-scan"}
+                if cached_blocks is not None:
+                    extra["cached_block"] = cached_blocks[index]
+                self._record_task(
+                    task_spans,
+                    index,
+                    partition_ids[index],
+                    scanned,
+                    True,
+                    scan_seconds,
+                    "project",
+                    project_seconds,
+                    rows=len(rows),
+                    **extra,
+                )
                 out_rows.extend(rows)
             if project_span is not None:
                 project_span.attributes["strategy"] = "vectorized-scan"
@@ -1639,7 +1816,8 @@ class Executor:
         try:
             return self._execute_factorized_aggregate(select, decision)
         except fcore.FactorizedFallback as exc:
-            return self._degrade_factorized(snapshot, exc)
+            self._degrade("aggregate", snapshot, exc)
+            return None
         except PartitionExecutionError as exc:
             # A guard tripping *inside* a partition task (e.g. a
             # duplicate dimension key found while folding one
@@ -1647,17 +1825,9 @@ class Executor:
             # statement still degrades instead of failing.  Genuine
             # task failures (faults, crashes) stay typed errors.
             if isinstance(exc.first_error, fcore.FactorizedFallback):
-                return self._degrade_factorized(snapshot, exc.first_error)
+                self._degrade("aggregate", snapshot, exc.first_error)
+                return None
             raise
-
-    def _degrade_factorized(
-        self, snapshot: "dict[str, Any]", exc: Exception
-    ) -> None:
-        self._note_failed_span("aggregate", exc)
-        self._rollback_metrics(snapshot)
-        self.last_metrics.fallbacks += 1
-        self.last_metrics.fallback_reason = _describe_failure(exc)
-        return None
 
     def _execute_factorized_aggregate(
         self, select: ast.Select, decision: FactorizeDecision
@@ -1786,22 +1956,9 @@ class Executor:
             udf = aggregates[0].aggregate
             matrix_type = decision.matrix_type
             pairs = fcore.fact_pairs(len(plan.fact_positions), matrix_type)
-
-            def fold(rows):
-                return fcore.fold_summary_fact_partition(
-                    rows, key_positions, dim_maps, plan.fact_positions, pairs
-                )
-
             partials = self._factorized_partition_fold(
                 fact,
-                fold,
-                process_fold=(
-                    "summary",
-                    key_positions,
-                    dim_maps,
-                    plan.fact_positions,
-                    pairs,
-                ),
+                ("summary", key_positions, dim_maps, plan.fact_positions, pairs),
             )
             with self.tracer.span("merge") as merge_span, StageTimer(
                 metrics, "merge", merge_span
@@ -1816,24 +1973,11 @@ class Executor:
         if shape == "fused":
             udf = aggregates[0].aggregate
             tables = udf.factorized_tables(plan.sources, dim_values)
-
-            def fold(rows):
-                return fcore.fold_fused_fact_partition(
-                    rows, key_positions, dim_maps, plan.fact_positions, tables
-                )
-
             partials = self._factorized_partition_fold(
                 fact,
-                fold,
+                ("fused", key_positions, dim_maps, plan.fact_positions, tables),
                 fire_site=getattr(udf, "fault_site", None),
                 fire_udf=aggregates[0].call.name,
-                process_fold=(
-                    "fused",
-                    key_positions,
-                    dim_maps,
-                    plan.fact_positions,
-                    tables,
-                ),
             )
             with self.tracer.span("merge") as merge_span, StageTimer(
                 metrics, "merge", merge_span
@@ -1851,22 +1995,8 @@ class Executor:
             return [state], None
         # builtins: COUNT(*) / SUM partials in Python arithmetic.
         specs = plan.builtin_specs
-
-        def fold(rows):
-            return fcore.fold_builtin_fact_partition(
-                rows, key_positions, dim_maps, dim_raws, specs
-            )
-
         partials = self._factorized_partition_fold(
-            fact,
-            fold,
-            process_fold=(
-                "builtins",
-                key_positions,
-                dim_maps,
-                dim_raws,
-                specs,
-            ),
+            fact, ("builtins", key_positions, dim_maps, dim_raws, specs)
         )
         with self.tracer.span("merge") as merge_span, StageTimer(
             metrics, "merge", merge_span
@@ -1897,16 +2027,8 @@ class Executor:
         with ``metrics.scan_seconds``.
         """
         with self.tracer.span("dim-scan") as span:
-
-            def fold(rows):
-                return fcore.fold_dim_partition(
-                    rows, key_position, feature_positions
-                )
-
             partials = self._factorized_partition_fold(
-                table,
-                fold,
-                process_fold=("dim", key_position, feature_positions),
+                table, ("dim", key_position, feature_positions)
             )
             merged = fcore.merge_dim_partitions(partials)
             if span is not None:
@@ -1918,100 +2040,39 @@ class Executor:
     def _factorized_partition_fold(
         self,
         table: Table,
-        fold_rows: "Callable[[list[tuple]], Any]",
+        fold: tuple,
         fire_site: "str | None" = None,
         fire_udf: "str | None" = None,
-        process_fold: "tuple | None" = None,
     ) -> list[Any]:
-        """Fan *fold_rows* out as one idempotent task per partition.
+        """Fan the ``(tag, *args)`` *fold* spec out as one
+        :func:`fact_fold_task` per partition.
 
         Partials return strictly in partition order; per-task times and
         row counts fold into the statement metrics exactly like the
         single-table row-partitioned path, so worker count never
         changes results or bookkeeping.
         """
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        faults = self.faults
-
-        def make_task(pid, partition):
-            def task() -> "tuple[Any, int, float, float]":
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows())
-                if fire_site is not None and faults.enabled:
-                    faults.fire(fire_site, partition=pid, udf=fire_udf)
-                fold_start = time.perf_counter()
-                partial = fold_rows(rows)
-                done = time.perf_counter()
-                return (
-                    partial,
-                    len(rows),
-                    fold_start - scan_start,
-                    done - fold_start,
-                )
-
-            return task
-
-        tasks = [make_task(pid, partition) for pid, partition in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads: "list[dict] | None" = None
-        if process_fold is not None:
-            published = self._published_for_process(table)
-            if published is not None:
-                base = {
-                    "kind": "fact-fold",
-                    "fingerprint": uuid.uuid4().hex,
-                    "fold": process_fold,
-                    "fire_site": fire_site,
-                    "fire_udf": fire_udf,
-                }
-                payloads = [
-                    {
-                        **base,
-                        "block": (
-                            published["root"],
-                            published["table"],
-                            published["version"],
-                            pid,
-                        ),
-                    }
-                    for pid in partition_ids
-                ]
-        task_spans: "list[Span] | None" = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        metrics = self.last_metrics
-        metrics.parallel_tasks += len(tasks)
+        fragment = (fold, fire_site, fire_udf)
+        results, task_spans, partition_ids = self._fan_out(
+            table,
+            fact_fold_task,
+            fragment,
+            lambda: {"kind": "fact-fold", "fragment": fragment},
+        )
         partials: list[Any] = []
         for index, result in enumerate(results):
-            partial, row_count, scan_seconds, accumulate_seconds = result
-            metrics.scan_seconds += scan_seconds
-            metrics.accumulate_seconds += accumulate_seconds
-            metrics.rows_processed += row_count
-            if row_count:
-                metrics.partitions_processed += 1
-            if task_spans is not None:
-                span = task_spans[index]
-                span.attributes["partition"] = partition_ids[index]
-                span.attributes["rows"] = row_count
-                span.children.append(Span("scan", seconds=scan_seconds))
-                span.children.append(
-                    Span("accumulate", seconds=accumulate_seconds)
-                )
-            partials.append(partial)
+            partial_state, row_count, scan_seconds, accumulate_seconds = result
+            self._record_task(
+                task_spans,
+                index,
+                partition_ids[index],
+                row_count,
+                bool(row_count),
+                scan_seconds,
+                "accumulate",
+                accumulate_seconds,
+            )
+            partials.append(partial_state)
         return partials
 
     def _charge_factorized_costs(
@@ -2082,7 +2143,7 @@ class Executor:
         group_exprs: list[ast.Expression],
         group_fns: list[Callable[[tuple], Any]],
         where_fn: Callable[[tuple], Any] | None,
-        where_expr: "ast.Expression | None" = None,
+        where_expr: "ast.Expression | None",
     ) -> dict[tuple, list[Any]]:
         groups: dict[tuple, list[Any]] = {}
         if not group_exprs:
@@ -2094,11 +2155,12 @@ class Executor:
             and not env._materialized
             and where_fn is None
             and all(spec.vector_ready for spec in aggregates)
-            and self._vector_group_keys_ready(group_exprs, binder)
+            and self._vector_group_keys_ready(group_exprs)
             and self._referenced_columns_numeric(
                 env, aggregates, group_exprs, binder
             )
         )
+        fallback_reason: str | None = None
         if use_vector:
             snapshot = self.last_metrics.to_dict()
             try:
@@ -2117,48 +2179,36 @@ class Executor:
                 # failed attempt's metrics are discarded first, so the
                 # retry starts from the same blank slate serial
                 # execution would.
-                fallback_reason = _describe_failure(exc)
-                self._note_failed_span("aggregate", exc)
-                self._rollback_metrics(snapshot)
-                self.last_metrics.fallbacks += 1
-                self.last_metrics.fallback_reason = fallback_reason
+                fallback_reason = self._degrade("aggregate", snapshot, exc)
                 groups.clear()
                 if not group_exprs:
                     groups[()] = [spec.initialize() for spec in aggregates]
-            with self.tracer.span("aggregate") as span:
-                self._accumulate_rows_partitioned(
-                    env.base_table,
-                    aggregates,
-                    group_fns,
-                    where_fn,
-                    groups,
-                    binder=binder,
-                    group_exprs=group_exprs,
-                    where_expr=where_expr,
-                )
-                if span is not None:
-                    span.attributes["strategy"] = "row-partitioned (fallback)"
-                    span.attributes["fallback_reason"] = fallback_reason
-                    span.attributes["groups"] = len(groups)
-            return groups
 
         if env.base_table is not None and not env._materialized:
             # Partitioned row path: one partial state per partition (the
             # paper's per-AMP accumulation), merged in partition order —
-            # runs concurrently when the engine has workers.
+            # so group keys keep their scan-order first appearance — and
+            # run concurrently when the engine has workers.
             with self.tracer.span("aggregate") as span:
-                self._accumulate_rows_partitioned(
+                results, task_spans, partition_ids = self._fan_out(
                     env.base_table,
-                    aggregates,
-                    group_fns,
-                    where_fn,
-                    groups,
-                    binder=binder,
-                    group_exprs=group_exprs,
-                    where_expr=where_expr,
+                    agg_row_task,
+                    (aggregates, group_fns, where_fn),
+                    lambda: self._aggregate_description(
+                        "agg-row", aggregates, binder, group_exprs, where_expr
+                    ),
+                )
+                self._merge_partition_partials(
+                    results, aggregates, groups, task_spans, partition_ids
                 )
                 if span is not None:
-                    span.attributes["strategy"] = "row-partitioned"
+                    if fallback_reason is None:
+                        span.attributes["strategy"] = "row-partitioned"
+                    else:
+                        span.attributes["strategy"] = (
+                            "row-partitioned (fallback)"
+                        )
+                        span.attributes["fallback_reason"] = fallback_reason
                     span.attributes["groups"] = len(groups)
             return groups
 
@@ -2185,183 +2235,40 @@ class Executor:
                 span.attributes["groups"] = len(groups)
         return groups
 
-    def _accumulate_rows_partitioned(
-        self,
-        table: Table,
-        aggregates: list["_AggregateSpec"],
-        group_fns: list[Callable[[tuple], Any]],
-        where_fn: Callable[[tuple], Any] | None,
-        groups: dict[tuple, list[Any]],
-        binder: "Binder | None" = None,
-        group_exprs: "list[ast.Expression] | None" = None,
-        where_expr: "ast.Expression | None" = None,
-    ) -> None:
-        """Row-path accumulation with one partial-state dict per partition.
-
-        Each task folds its partition's rows into private states; the
-        partials merge in partition order, so group keys keep their
-        scan-order first appearance and results match any worker count.
-        """
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
-
-        def make_task(pid, partition):
-            def task() -> tuple[dict[tuple, list[Any]], int, float, float]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("partition.scan", partition=pid)
-                rows = list(partition.rows())
-                accumulate_start = time.perf_counter()
-                local, folded = _fold_rows_into(
-                    rows, aggregates, group_fns, where_fn
-                )
-                done = time.perf_counter()
-                return (
-                    local,
-                    folded,
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads = self._agg_row_payloads(
-            table, aggregates, binder, group_exprs, where_expr, where_fn,
-            partition_ids,
-        )
-        task_spans: list[Span] | None = None
-        if self.tracer.enabled:
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        self.last_metrics.parallel_tasks += len(partitions)
-        self._merge_partition_partials(
-            results,
-            aggregates,
-            groups,
-            task_spans=task_spans,
-            partition_ids=partition_ids,
-        )
-
-    def _agg_row_payloads(
-        self,
-        table: Table,
-        aggregates: list["_AggregateSpec"],
-        binder: "Binder | None",
-        group_exprs: "list[ast.Expression] | None",
-        where_expr: "ast.Expression | None",
-        where_fn: Callable[[tuple], Any] | None,
-        partition_ids: Sequence[int],
-    ) -> "list[dict] | None":
-        """Process-pool descriptors for a row-path aggregate fan-out, or
-        None to keep the fan-out on in-process closures.  A descriptor
-        ships only ASTs, aggregate objects, and a column-resolution map
-        — the rows travel through the mmap'd columnar block, never
-        through pickle."""
-        if binder is None or group_exprs is None:
-            return None
-        if where_fn is not None and where_expr is None:
-            # The compiled WHERE came from somewhere we cannot see the
-            # expression of; workers could not recompile it.
-            return None
-        published = self._published_for_process(table)
-        if published is None:
-            return None
-        expressions: list[ast.Expression] = [
-            spec.call.call for spec in aggregates
-        ]
-        expressions.extend(group_exprs)
-        if where_expr is not None:
-            expressions.append(where_expr)
-        resolve = {
-            (ref.table, ref.name.lower()): binder.resolve(ref)
-            for ref in referenced_columns_of_all(expressions)
-        }
-        base = {
-            "kind": "agg-row",
-            "fingerprint": uuid.uuid4().hex,
-            "calls": [spec.call for spec in aggregates],
-            "aggregates": [spec.aggregate for spec in aggregates],
-            "group_exprs": list(group_exprs),
-            "where": where_expr,
-            "resolve": resolve,
-            "scalar_udfs": self._shippable_scalar_udfs(expressions),
-        }
-        return [
-            {
-                **base,
-                "block": (
-                    published["root"],
-                    published["table"],
-                    published["version"],
-                    pid,
-                ),
-            }
-            for pid in partition_ids
-        ]
-
     def _merge_partition_partials(
         self,
-        results: Sequence[tuple[dict[tuple, list[Any]], int, float, float]],
+        results: Sequence[tuple],
         aggregates: list["_AggregateSpec"],
         groups: dict[tuple, list[Any]],
-        task_spans: "list[Span] | None" = None,
-        partition_ids: "list[int] | None" = None,
+        task_spans: "list[Span] | None",
+        partition_ids: "list[int]",
         cached_blocks: "list[bool] | None" = None,
     ) -> None:
-        """Fold per-partition (partials, rows, scan s, accumulate s) task
-        results into *groups*, strictly in partition order.
-
-        Under tracing, each engine-built task span (same order as
-        *results*) gains its partition id, row count and scan/accumulate
-        child spans built from the *same* perf-counter deltas added to
-        the metrics here — summed in the same order, so the span totals
-        and the stage totals are the identical floats, not approximations.
-        """
-        metrics = self.last_metrics
+        """Fold per-partition ``(partials, rows, scan s, accumulate s,
+        ...)`` task results into *groups* and the statement metrics,
+        strictly in partition order."""
         with self.tracer.span("merge") as merge_span, StageTimer(
-            metrics, "merge", merge_span
+            self.last_metrics, "merge", merge_span
         ):
             for index, result in enumerate(results):
-                local, folded, scan_seconds, accumulate_seconds = result
-                metrics.scan_seconds += scan_seconds
-                metrics.accumulate_seconds += accumulate_seconds
-                metrics.rows_processed += folded
-                if local:
-                    metrics.partitions_processed += 1
-                if task_spans is not None:
-                    span = task_spans[index]
-                    if partition_ids is not None:
-                        span.attributes["partition"] = partition_ids[index]
-                    span.attributes["rows"] = folded
-                    if cached_blocks is not None:
-                        span.attributes["cached_block"] = cached_blocks[index]
-                    span.children.append(Span("scan", seconds=scan_seconds))
-                    span.children.append(
-                        Span("accumulate", seconds=accumulate_seconds)
-                    )
-                for key, partial in local.items():
-                    states = groups.get(key)
-                    if states is None:
-                        groups[key] = partial
-                    else:
-                        for position, spec in enumerate(aggregates):
-                            states[position] = spec.merge(
-                                states[position], partial[position]
-                            )
+                local, folded, scan_seconds, accumulate_seconds = result[:4]
+                extra = (
+                    {}
+                    if cached_blocks is None
+                    else {"cached_block": cached_blocks[index]}
+                )
+                self._record_task(
+                    task_spans,
+                    index,
+                    partition_ids[index],
+                    folded,
+                    bool(local),
+                    scan_seconds,
+                    "accumulate",
+                    accumulate_seconds,
+                    **extra,
+                )
+                _merge_into(groups, aggregates, local)
 
     def _referenced_columns_numeric(
         self,
@@ -2382,12 +2289,9 @@ class Executor:
                 return False
         return True
 
-    def _vector_group_keys_ready(
-        self, group_exprs: list[ast.Expression], binder: Binder
-    ) -> bool:
+    def _vector_group_keys_ready(self, group_exprs: list[ast.Expression]) -> bool:
         for expr in group_exprs:
-            refs = referenced_columns(expr)
-            resolver = _matrix_resolver(binder, refs)
+            resolver = _matrix_resolver(referenced_columns(expr))
             if compile_vector_expression(expr, resolver) is None:
                 return False
         return True
@@ -2400,124 +2304,21 @@ class Executor:
         group_exprs: list[ast.Expression],
         groups: dict[tuple, list[Any]],
     ) -> None:
+        """Vector-path accumulation: one :func:`agg_vector_task` per
+        partition, merged in partition order."""
         table = env.base_table
         assert table is not None
-        needed = referenced_columns_of_all(
-            [spec.call.call for spec in aggregates] + list(group_exprs)
+        fragment = _compile_vector_fragment(aggregates, group_exprs, binder.resolve)
+        positions, fused_udfs = fragment[0], fragment[1]
+        cached_blocks = self._cached_blocks(table, positions)
+        results, task_spans, partition_ids = self._fan_out(
+            table,
+            agg_vector_task,
+            fragment,
+            lambda: self._aggregate_description(
+                "agg-vector", aggregates, binder, group_exprs
+            ),
         )
-        resolver_map = {
-            (ref.table, ref.name.lower()): index for index, ref in enumerate(needed)
-        }
-        positions = [binder.resolve(ref) for ref in needed]
-
-        def matrix_resolver(ref: ast.ColumnRef) -> int:
-            return resolver_map[(ref.table, ref.name.lower())]
-
-        group_vector_fns = [
-            compile_vector_expression(expr, matrix_resolver) for expr in group_exprs
-        ]
-        for spec in aggregates:
-            spec.prepare_vector(matrix_resolver)
-
-        numbered = [
-            (index, partition)
-            for index, partition in enumerate(table.partitions)
-            if partition.row_count
-        ]
-        partitions = [partition for _, partition in numbered]
-        faults = self.faults
-        # Aggregates that declare a fault site (the fused clustering
-        # iteration UDFs) arm it per vectorized task, between block
-        # materialization and accumulation.
-        fused_udfs = [
-            (site, spec.call.name)
-            for spec in aggregates
-            if (site := getattr(spec.aggregate, "fault_site", None))
-        ]
-
-        def make_task(pid, partition):
-            def task() -> tuple[
-                dict[tuple, list[Any]], int, float, float, BlockCacheStats
-            ]:
-                scan_start = time.perf_counter()
-                if faults.enabled:
-                    faults.fire("block.materialize", partition=pid)
-                block, stats = partition.numeric_matrix_with_cache_stats(
-                    positions
-                )
-                if faults.enabled:
-                    for site, udf_name in fused_udfs:
-                        faults.fire(site, partition=pid, udf=udf_name)
-                accumulate_start = time.perf_counter()
-                local = _fold_vector_block(
-                    block, aggregates, group_exprs, group_vector_fns
-                )
-                done = time.perf_counter()
-                return (
-                    local,
-                    block.shape[0],
-                    accumulate_start - scan_start,
-                    done - accumulate_start,
-                    stats,
-                )
-
-            return task
-
-        tasks = [make_task(pid, p) for pid, p in numbered]
-        partition_ids = [index for index, _ in numbered]
-        payloads: "list[dict] | None" = None
-        published = self._published_for_process(table)
-        if published is not None:
-            expressions = [spec.call.call for spec in aggregates] + list(
-                group_exprs
-            )
-            base = {
-                "kind": "agg-vector",
-                "fingerprint": uuid.uuid4().hex,
-                "calls": [spec.call for spec in aggregates],
-                "aggregates": [spec.aggregate for spec in aggregates],
-                "group_exprs": list(group_exprs),
-                "resolve": {
-                    (ref.table, ref.name.lower()): binder.resolve(ref)
-                    for ref in needed
-                },
-                "matrix_map": resolver_map,
-                "positions": positions,
-                "fused": fused_udfs,
-                "scalar_udfs": self._shippable_scalar_udfs(expressions),
-                "cached": not published["fresh"],
-            }
-            payloads = [
-                {
-                    **base,
-                    "block": (
-                        published["root"],
-                        published["table"],
-                        published["version"],
-                        pid,
-                    ),
-                }
-                for pid in partition_ids
-            ]
-        task_spans: list[Span] | None = None
-        cached_blocks: list[bool] | None = None
-        if self.tracer.enabled:
-            # Checked before the tasks run (they populate the cache), so
-            # ANALYZE shows which partitions served a pre-built block.
-            cached_blocks = [
-                partition.has_cached_block(positions)
-                for partition in partitions
-            ]
-            task_spans = []
-            results = self._engine_map(
-                tasks, task_spans, partition_ids, payloads=payloads
-            )
-            self.tracer.attach(task_spans)
-        else:
-            results = self._engine_map(
-                tasks, partition_ids=partition_ids, payloads=payloads
-            )
-        self.last_metrics.parallel_tasks += len(partitions)
         # Per-task cache stats merged in partition order (see the
         # projection path for why the shared partition counters are not
         # read here).
@@ -2533,12 +2334,12 @@ class Executor:
                     Span("fused-iteration", attributes={"udf": marker})
                 )
         self._merge_partition_partials(
-            [result[:4] for result in results],
+            results,
             aggregates,
             groups,
-            task_spans=task_spans,
-            partition_ids=partition_ids,
-            cached_blocks=cached_blocks,
+            task_spans,
+            partition_ids,
+            cached_blocks,
         )
 
     def _charge_aggregate_costs(
@@ -2878,9 +2679,7 @@ def _describe_failure(exc: BaseException) -> str:
     return text
 
 
-def _matrix_resolver(
-    binder: Binder, refs: list[ast.ColumnRef]
-) -> Callable[[ast.ColumnRef], int]:
+def _matrix_resolver(refs: list[ast.ColumnRef]) -> Callable[[ast.ColumnRef], int]:
     mapping = {(ref.table, ref.name.lower()): index for index, ref in enumerate(refs)}
 
     def resolve(ref: ast.ColumnRef) -> int:
@@ -2947,7 +2746,6 @@ class _AggregateSpec:
                     f"{aggregate.arity} arguments, got {len(args)}"
                 )
         self._vector_fns: list | None = None
-        self._binder = binder
         self._skips_nulls = aggregate.skips_nulls and bool(args)
 
     # The vector path is usable when the aggregate object supports block
@@ -2966,7 +2764,7 @@ class _AggregateSpec:
         if not supported:
             return False
         refs = referenced_columns_of_all(self._arg_exprs)
-        resolver = _matrix_resolver(self._binder, refs)
+        resolver = _matrix_resolver(refs)
         return all(
             compile_vector_expression(arg, resolver) is not None
             for arg in self._arg_exprs

@@ -300,22 +300,6 @@ class Partition:
         """
         return self.numeric_matrix_with_cache_stats(positions)[0]
 
-    def numeric_matrix_with_stats(
-        self, positions: Sequence[int]
-    ) -> tuple[np.ndarray, bool]:
-        """:meth:`numeric_matrix` plus whether it was a cache hit.
-
-        Engine tasks use this variant so each task counts its own hits
-        and misses locally and returns them with its partial result; the
-        coordinator sums the per-task counts in partition order.  The
-        statement's :class:`~repro.dbms.metrics.QueryMetrics` therefore
-        never reads the shared lifetime counters while workers are
-        running — a straggler task abandoned by an earlier statement's
-        timeout cannot tear the accounting.
-        """
-        block, stats = self.numeric_matrix_with_cache_stats(positions)
-        return block, stats.hit
-
     def numeric_matrix_with_cache_stats(
         self, positions: Sequence[int]
     ) -> tuple[np.ndarray, BlockCacheStats]:

@@ -40,6 +40,7 @@ from repro.dbms.schema import (
     dimension_names,
 )
 from repro.dbms.types import SqlType
+from repro.dbms.udf import scalar_udf
 from repro.errors import PartitionExecutionError, ReproError
 
 D = 2
@@ -59,6 +60,14 @@ AGG_ROW = (
 )
 AGG_VECTOR = "SELECT sum(x1), sum(x2), count(*) FROM x"
 SCORING = _GEN.regression_inline_sql(2.0, [1.0, -2.0])
+# Mixed-type table: the projection serves raw VARCHAR / oversize INTEGER
+# / NULL-bearing values from the partition's stored columns (threads) or
+# from the block's object sidecar and NULL bitmaps (processes).
+MIXED_PROJECTION = "SELECT k, s, big, f * 2.0 FROM m WHERE f > 45.0"
+MIXED_GROUP_BY = (
+    "SELECT k MOD 3, count(*), sum(f), count(s), sum(big) FROM m "
+    "WHERE f IS NULL OR f < 55.0 GROUP BY k MOD 3 ORDER BY 1"
+)
 
 
 def _columns(seed):
@@ -136,6 +145,51 @@ class TestExecutorParity:
             workers,
             lambda db: db.execute(SCORING).rows,
             expect_process_path=True,
+        )
+        assert results["thread"] == results["serial"]
+        assert results["process"] == results["serial"]
+
+    @given(seed=st.integers(0, 2**16), workers=st.sampled_from([2, 4]))
+    @settings(**_SETTINGS)
+    def test_mixed_type_columns(self, seed, workers):
+        rng = np.random.default_rng(seed)
+        rows = [
+            (
+                k,
+                None if k % 5 == 0 else float(rng.normal(50.0, 10.0)),
+                None if k % 7 == 0 else f"s{int(rng.integers(0, 1000))}",
+                2**70 + int(rng.integers(0, 1000)) if k % 3 else k,
+            )
+            for k in range(1, N_ROWS + 1)
+        ]
+
+        def run(db):
+            db.create_table(
+                "m",
+                TableSchema.build(
+                    [
+                        Column("k", SqlType.INTEGER, nullable=False),
+                        ("f", SqlType.FLOAT),
+                        ("s", SqlType.VARCHAR),
+                        ("big", SqlType.INTEGER),
+                    ],
+                    primary_key="k",
+                ),
+            )
+            db.insert_rows("m", rows)
+            plan = db.execute("EXPLAIN " + MIXED_PROJECTION).rows
+            assert any("vectorized-scan" in line for (line,) in plan)
+            out = []
+            for sql in (MIXED_PROJECTION, MIXED_GROUP_BY):
+                result = db.execute(sql)
+                assert result.metrics.fallbacks == 0, (
+                    result.metrics.fallback_reason
+                )
+                out.append(result.rows)
+            return out
+
+        results = _each_kind(
+            _columns(seed), workers, run, expect_process_path=True
         )
         assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
@@ -298,6 +352,47 @@ class TestAppendThenQuery:
             assert result.rows == [(100.0,)]
             assert result.metrics.fallbacks == 0
             assert db._executor.engine.last_process_fallback is None
+
+
+# ------------------------------------------------ pickle-probe fallback
+class TestProcessFallbackRecord:
+    def test_fallback_counted_and_not_carried_over(self):
+        # A lambda-backed scalar UDF cannot pickle, so the engine runs
+        # the row-path fan-out on threads: the statement itself must
+        # report that fallback, and later statements must not.
+        with Database(
+            amps=4, executor_workers=2, executor_kind="process"
+        ) as db:
+            db.execute("CREATE TABLE t (i INTEGER PRIMARY KEY, x FLOAT)")
+            db.execute("CREATE TABLE d (i INTEGER PRIMARY KEY, w FLOAT)")
+            db.insert_rows("t", [(i, float(i)) for i in range(1, 21)])
+            db.insert_rows("d", [(i, 0.5) for i in range(1, 11)])
+            db.register_udf(scalar_udf("twice", lambda v: 2 * v, arity=1))
+            engine = db._executor.engine
+
+            result = db.execute("SELECT SUM(twice(x)) FROM t WHERE x > 3")
+            assert result.rows == [(2.0 * sum(range(4, 21)),)]
+            assert result.metrics.fallbacks == 1
+            assert result.metrics.fallback_reason.startswith(
+                "process fan-out ran on threads: "
+            )
+            assert engine.last_process_fallback is not None
+
+            db.execute("INSERT INTO t VALUES (21, 21.0)")
+            assert engine.last_process_fallback is None
+            db.execute("SELECT SUM(twice(x)) FROM t WHERE x > 3")
+            batch = db.execute_batch(
+                ["SELECT SUM(x) FROM t", "SELECT COUNT(*) FROM t"]
+            )
+            assert batch[0].rows == [(231.0,)]
+            assert engine.last_process_fallback is None
+            db.execute("SELECT SUM(twice(x)) FROM t WHERE x > 3")
+            join = db.execute(
+                "SELECT SUM(t.x * d.w) FROM t JOIN d ON t.i = d.i"
+            )
+            assert join.rows == [(27.5,)]
+            assert join.metrics.fallbacks == 0
+            assert engine.last_process_fallback is None
 
 
 # -------------------------------------------------- process-mode chaos
